@@ -33,7 +33,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, make_sparse_topic_inputs  # noqa: E402
 
 PINNED_THREADS = {
     name: "1"
@@ -46,7 +46,6 @@ PINNED_THREADS = {
         "NUMEXPR_NUM_THREADS",
     )
 }
-MAX_THREADS = 2  # lightmc threads for the "nproc" workload, the same on any machine
 MIN_PASSES = 2  # the bundle-bytes gate needs a second fit of the same seed
 TIME_LIMIT_S = 170.0  # all child processes of one run
 
@@ -64,13 +63,9 @@ class BenchError(Exception):
     pass
 
 
-def monotonic() -> float:
-    return time.clock_gettime(time.CLOCK_MONOTONIC)
-
-
 def run_child(args: list, env: dict, deadline: float, cpu: int | None = None) -> dict:
     """Run worker.py, pinned to `cpu` if given, and return the JSON of its last output line."""
-    t0 = monotonic()
+    t0 = time.monotonic()
     proc = subprocess.Popen(
         [sys.executable, str(HERE / "worker.py"), *map(str, args), repr(t0)],
         stdout=subprocess.PIPE,
@@ -79,7 +74,7 @@ def run_child(args: list, env: dict, deadline: float, cpu: int | None = None) ->
         preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),
     )
     try:
-        out, _ = proc.communicate(timeout=max(1.0, deadline - monotonic()))
+        out, _ = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
@@ -125,19 +120,17 @@ def main() -> int:
     if not (src / "lightmc" / "__init__.py").is_file():
         print(f"no lightmc source tree under {root}", file=sys.stderr)
         return 2
-    deadline = monotonic() + TIME_LIMIT_S
-    os.environ.update(PINNED_THREADS)  # before numpy is imported below
+    deadline = time.monotonic() + TIME_LIMIT_S
     sys.path.insert(0, str(src))
     workload = WORKLOADS[args.workload]
     workdir = root / ".perfbench" / f"{args.workload}-seed{args.seed}-trace{args.trace}"
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
-    workload.make_inputs(args.seed, workdir)
+    make_sparse_topic_inputs(args.seed, workdir)
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE)]))
+    env = dict(os.environ, **PINNED_THREADS, PYTHONPATH=os.pathsep.join([str(src), str(HERE)]))
     cpus = sorted(os.sched_getaffinity(0))
-    threads = min(MAX_THREADS, len(cpus))
-    common = [args.workload, args.seed, threads, workdir]
+    common = [args.workload, args.seed, workdir]
     # A single-threaded pass runs on one core. The cores of a shared VM slow
     # down and speed up independently for minutes at a time, so the passes
     # take the cores in turn and every run samples each core equally.
@@ -148,8 +141,8 @@ def main() -> int:
             passes.append(run_child(["trace", *common], env, deadline))
             metrics = passes[0]["metrics"]
         else:
-            started = monotonic()
-            while len(passes) < MIN_PASSES or monotonic() - started < args.seconds:
+            started = time.monotonic()
+            while len(passes) < MIN_PASSES or time.monotonic() - started < args.seconds:
                 cpu = cpus[len(passes) % len(cpus)] if single else None
                 passes.append(run_child(["pass", *common, len(passes)], env, deadline, cpu))
             metrics = {
@@ -171,7 +164,7 @@ def main() -> int:
         "trace": args.trace,
         "git": git_hash(root),
         "nproc": os.cpu_count(),
-        "lightmc_threads": threads if workload.config["threads"] == "nproc" else workload.config["threads"],
+        "lightmc_threads": min(workload.config["threads"], len(cpus)),
         "python": platform.python_version(),
         "numpy": passes[0]["numpy"],
         "blas_env": PINNED_THREADS,

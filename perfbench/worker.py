@@ -1,14 +1,14 @@
 """One benchmark child process, started by run.py with a pinned environment.
 
-    worker.py pass WORKLOAD SEED THREADS WORKDIR INDEX T0
+    worker.py pass WORKLOAD SEED WORKDIR INDEX T0
         Set up (import lightmc, parse train.txt and test.txt), then one
         fit -> predict -> save_model/load_model pass, untraced. The bundle
         goes to WORKDIR/bundle<INDEX>; from INDEX 1 on it must match bundle0.
-    worker.py trace WORKLOAD SEED THREADS WORKDIR T0
+    worker.py trace WORKLOAD SEED WORKDIR T0
         Parse with tracing on, time the first access of the dataset views,
         then run one untraced and one traced pass; report per-layer metrics.
 
-T0 is the CLOCK_MONOTONIC reading the parent took just before starting
+T0 is the `time.monotonic()` reading the parent took just before starting
 this process, so setup_s runs from process start. The last line of
 standard output is one JSON object.
 """
@@ -16,6 +16,7 @@ standard output is one JSON object.
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
@@ -27,10 +28,6 @@ from tracing import Tracer
 from workloads import TEST_FILE, TRAIN_FILE, WORKLOADS
 
 SHORT_REPEATS = 3  # timings of predict and of the bundle round-trip per untraced pass
-
-
-def monotonic() -> float:
-    return time.clock_gettime(time.CLOCK_MONOTONIC)
 
 
 def load_inputs(data_io, workdir: Path):
@@ -107,21 +104,20 @@ class Pass:
         )
 
 
-def make_config(lightmc, workload, seed: int, threads: int):
-    config = dict(workload.config, seed=seed)
-    if config["threads"] == "nproc":
-        config["threads"] = threads
+def make_config(lightmc, workload, seed: int):
+    threads = min(workload.config["threads"], len(os.sched_getaffinity(0)))
+    config = dict(workload.config, seed=seed, threads=threads)
     learner = lightmc.learners.LearnerSpec(**workload.learner)
     return lightmc.trainer.TrainConfig(learner=learner, **config)
 
 
-def end_to_end(workload, seed, threads, workdir: Path, index: int, t0: float):
+def end_to_end(workload, seed, workdir: Path, index: int, t0: float):
     import lightmc  # set-up, as `lightmc train` pays it before round 1
 
     train, test = load_inputs(lightmc.data_io, workdir)
-    setup_s = monotonic() - t0
+    setup_s = time.monotonic() - t0
     gates = Gates()
-    config = make_config(lightmc, workload, seed, threads)
+    config = make_config(lightmc, workload, seed)
     p = Pass(lightmc, workload, config, train, test, workdir / f"bundle{index}", gates,
              SHORT_REPEATS)
     if index:
@@ -148,11 +144,11 @@ def leaf_counts(ensemble_txt: Path) -> tuple[int, int]:
     return trees, leaves
 
 
-def per_layer(workload, seed, threads, workdir: Path, run_id: str):
+def per_layer(workload, seed, workdir: Path, run_id: str):
     import lightmc
 
     gates = Gates()
-    config = make_config(lightmc, workload, seed, threads)
+    config = make_config(lightmc, workload, seed)
     tracer = Tracer(run_id)
     tracer.install(lightmc)
     train, test = load_inputs(lightmc.data_io, workdir)
@@ -224,12 +220,12 @@ def per_layer(workload, seed, threads, workdir: Path, run_id: str):
 
 
 def main(argv: list[str]) -> None:
-    mode, name, seed, threads, workdir = argv[0], argv[1], int(argv[2]), int(argv[3]), Path(argv[4])
+    mode, name, seed, workdir = argv[0], argv[1], int(argv[2]), Path(argv[3])
     workload = WORKLOADS[name]
     if mode == "pass":
-        gates, metrics = end_to_end(workload, seed, threads, workdir, int(argv[5]), float(argv[6]))
+        gates, metrics = end_to_end(workload, seed, workdir, int(argv[4]), float(argv[5]))
     else:
-        gates, metrics = per_layer(workload, seed, threads, workdir, f"{name}:{seed}")
+        gates, metrics = per_layer(workload, seed, workdir, f"{name}:{seed}")
     print(json.dumps({
         "metrics": metrics,
         "attempted": gates.attempted,

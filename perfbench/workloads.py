@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -19,13 +18,19 @@ TRAIN_FILE = "train.txt"
 TEST_FILE = "test.txt"
 TOPIC_CLASSES = 50
 TOPIC_VOCAB = 10_000
+TOPIC_TRAIN_ROWS = 2000
+TOPIC_TEST_ROWS = 2000
+TOPIC_MEAN_TERMS = 30  # words drawn per document, before repeats merge
+TOPIC_POOL_WORDS = 600  # the class topics draw their words from this shared pool
+TOPIC_WORDS = 40  # words of one class topic
+TOPIC_SHARE = 0.2  # share of a document's words drawn from its class topic
+ZIPF_EXPONENT = 1.1  # of the background word frequencies
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
-    make_inputs: Callable[[int, Path], None]
-    # TrainConfig fields; "threads" is "nproc" or an int
+    # TrainConfig fields; "threads" is clamped to the usable cores
     config: dict
     # LearnerSpec fields
     learner: dict
@@ -33,51 +38,39 @@ class Workload:
     error_ceiling: float
 
 
-def sparse_topics(
-    seed: int,
-    *,
-    num_classes: int = TOPIC_CLASSES,
-    vocab: int = TOPIC_VOCAB,
-    train_rows: int = 2000,
-    test_rows: int = 2000,
-    mean_terms: int = 30,
-    pool_words: int = 600,
-    topic_words: int = 40,
-    topic_share: float = 0.2,
-    zipf_exponent: float = 1.1,
-):
+def sparse_topics(seed: int):
     """Text-like rows: a Zipf background plus per-class topic words.
 
-    Each class owns `topic_words` words drawn from a shared pool, so
-    topics overlap and classes are confusable. A document draws about
-    `mean_terms` words, a `topic_share` of them from its class topic and
+    Each class owns TOPIC_WORDS words drawn from a shared pool, so topics
+    overlap and classes are confusable. A document draws about
+    TOPIC_MEAN_TERMS words, a TOPIC_SHARE of them from its class topic and
     the rest from the background; its values are L2-normalised log counts.
     Train and test rows come from the same topics and the same background.
     Returns ((indptr, indices, values, labels) for train, the same for test).
     """
     rng = np.random.default_rng([seed, 31337])
-    background = np.arange(1, vocab + 1, dtype=np.float64) ** -zipf_exponent
-    background = background[rng.permutation(vocab)] / background.sum()
+    background = np.arange(1, TOPIC_VOCAB + 1, dtype=np.float64) ** -ZIPF_EXPONENT
+    background = background[rng.permutation(TOPIC_VOCAB)] / background.sum()
     # the most frequent term takes the last index, so every training file
     # spans the whole vocabulary and test files parse against its feature count
     top = int(np.argmax(background))
     background[[top, -1]] = background[[-1, top]]
-    pool = rng.choice(vocab, pool_words, replace=False)
+    pool = rng.choice(TOPIC_VOCAB, TOPIC_POOL_WORDS, replace=False)
     topics = np.stack(
-        [rng.choice(pool, topic_words, replace=False) for _ in range(num_classes)]
+        [rng.choice(pool, TOPIC_WORDS, replace=False) for _ in range(TOPIC_CLASSES)]
     )
 
     def draw(n: int):
-        labels = rng.permutation(np.arange(n) % num_classes)
+        labels = rng.permutation(np.arange(n) % TOPIC_CLASSES)
         indptr = [0]
         indices, values = [], []
         for k in labels:
-            length = max(1, int(rng.poisson(mean_terms)))
-            n_topic = int(rng.binomial(length, topic_share))
+            length = max(1, int(rng.poisson(TOPIC_MEAN_TERMS)))
+            n_topic = int(rng.binomial(length, TOPIC_SHARE))
             words = np.concatenate(
                 [
                     rng.choice(topics[k], n_topic),
-                    rng.choice(vocab, length - n_topic, p=background),
+                    rng.choice(TOPIC_VOCAB, length - n_topic, p=background),
                 ]
             )
             terms, counts = np.unique(words, return_counts=True)
@@ -87,7 +80,7 @@ def sparse_topics(
             indptr.append(indptr[-1] + terms.size)
         return np.array(indptr), np.concatenate(indices), np.concatenate(values), labels
 
-    return draw(train_rows), draw(test_rows)
+    return draw(TOPIC_TRAIN_ROWS), draw(TOPIC_TEST_ROWS)
 
 
 def make_sparse_topic_inputs(seed: int, out_dir: Path) -> None:
@@ -115,20 +108,18 @@ WORKLOADS = {
     for w in (
         Workload(
             name="sparse_topics_trees",
-            make_inputs=make_sparse_topic_inputs,
             config=dict(
                 code_length="auto",
                 max_rounds=3,
                 start_round=2,
                 early_stop_rounds=0,
-                threads="nproc",
+                threads=2,
             ),
             learner=dict(kind="boosted_trees", learning_rate=0.5, max_leaves=8),
             error_ceiling=0.75,
         ),
         Workload(
             name="sparse_topics_linear",
-            make_inputs=make_sparse_topic_inputs,
             config=dict(
                 code_length="auto",
                 max_rounds=10,
