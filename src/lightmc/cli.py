@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook, learners, trainer
-from .data_io import load_sparse_text, stratified_split
+from .data_io import load_sparse_text, read_lines, stratified_split
 from .errors import InvalidArg, LightMCError, ParseError
 from .learners import LearnerSpec
 from .trainer import MODE_LIGHTMC, MODES, TrainConfig
@@ -143,21 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not sep or key not in _CONVERT:
-                raise ParseError(f"unknown config key {line!r}", line=line_no)
-            try:
-                out[key] = _CONVERT[key](val.strip())
-            except ValueError:
-                raise ParseError(
-                    f"bad value for {key!r}: {val.strip()!r}", line=line_no
-                ) from None
+    for line_no, line in enumerate(read_lines(path, "utf-8"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep or key not in _CONVERT:
+            raise ParseError(f"unknown config key {line!r}", line=line_no)
+        try:
+            out[key] = _CONVERT[key](val.strip())
+        except ValueError:
+            raise ParseError(
+                f"bad value for {key!r}: {val.strip()!r}", line=line_no
+            ) from None
     return out
 
 
@@ -171,7 +170,10 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
             opts[key] = flag_val
     if opts["threads"] is None:
         env = os.environ.get("LIGHTMC_THREADS")
-        opts["threads"] = int(env) if env else (os.cpu_count() or 1)
+        try:
+            opts["threads"] = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise InvalidArg(f"LIGHTMC_THREADS={env!r} is not an integer") from None
     return opts
 
 

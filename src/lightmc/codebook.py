@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import read_versioned, write_versioned
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -183,30 +184,17 @@ def codeword_distance(matrix: CodingMatrix, class_a: int, class_b: int) -> float
 
 def save_matrix(matrix: CodingMatrix, path) -> None:
     """Write the versioned text form: header line, then one row per line."""
-    lines = [f"{_HEADER} v1 {matrix.num_classes} {matrix.code_length}"]
-    for row in matrix.entries:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [" ".join(repr(float(v)) for v in row) for row in matrix.entries]
+    write_versioned(path, _HEADER, matrix.entries.shape, rows)
 
 
 def load_matrix(path) -> CodingMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError(f"{path}: empty codebook file")
-    head = raw[0].split()
-    if len(head) != 4 or head[0] != _HEADER or head[1] != "v1":
-        raise ParseError(f"{path}: bad codebook header {raw[0]!r}", line=1)
-    try:
-        num_classes, code_length = int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(f"{path}: bad codebook dimensions", line=1) from None
-    if len(raw) - 1 < num_classes:
-        raise ParseError(f"{path}: expected {num_classes} rows, found {len(raw) - 1}")
+    num_classes, code_length, body = read_versioned(path, _HEADER, "codebook")
+    if len(body) < num_classes:
+        raise ParseError(f"{path}: expected {num_classes} rows, found {len(body)}")
     rows = []
     for i in range(num_classes):
-        parts = raw[1 + i].split()
+        parts = body[i].split()
         if len(parts) != code_length:
             raise ParseError(
                 f"{path}: expected {code_length} entries", line=2 + i

@@ -8,8 +8,7 @@ is kept for reporting and for loading evaluation files consistently.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,9 +19,6 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-
-_dataset_tokens = itertools.count()
-
 
 @dataclass(frozen=True, eq=False)
 class SparseDataset:
@@ -39,7 +35,6 @@ class SparseDataset:
     num_features: int
     num_classes: int
     label_names: tuple[str, ...]
-    token: int = field(default_factory=lambda: next(_dataset_tokens))
 
     def __post_init__(self):
         for name in ("indptr", "indices", "labels"):
@@ -165,7 +160,7 @@ def load_sparse_text(
     labels: list[int] = []
     max_index = -1
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_decoded(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -248,26 +243,64 @@ def save_label_map(label_names: tuple[str, ...], path) -> None:
 
 def load_label_map(path) -> tuple[str, ...]:
     names: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                name, dense = line.split("\t")
-                names[int(dense)] = name
-            except ValueError:
-                raise ParseError(f"bad label-map line {line!r}", line=line_no) from None
+    for line_no, line in enumerate(read_lines(path, "utf-8"), start=1):
+        if not line:
+            continue
+        try:
+            name, dense = line.split("\t")
+            names[int(dense)] = name
+        except ValueError:
+            raise ParseError(f"bad label-map line {line!r}", line=line_no) from None
     if sorted(names) != list(range(len(names))):
         raise ParseError(f"{path}: label map is not a dense [0, K) enumeration")
     return tuple(names[k] for k in range(len(names)))
 
 
+def _decoded(fh, path):
+    """The lines of an open text file; undecodable bytes raise ParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {fh.encoding} text ({exc.reason})") from None
+
+
+def read_lines(path, encoding: str = "ascii") -> list[str]:
+    """All lines of a small text file; undecodable bytes raise ParseError."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {encoding} text ({exc.reason})") from None
+
+
+def write_versioned(path, name: str, head: tuple, body: list[str]) -> None:
+    """Write the versioned text form `<name> v1 <a> <b>`, then the body lines."""
+    lines = [f"{name} v1 {head[0]} {head[1]}", *body]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_versioned(path, name, kind, second=int) -> tuple[int, object, list[str]]:
+    """Read a file written by write_versioned: (a, second(b), body lines).
+
+    Body line i is line i + 2 of the file. `kind` names the file in errors.
+    """
+    raw = read_lines(path)
+    if not raw:
+        raise ParseError(f"{path}: empty {kind} file")
+    head = raw[0].split()
+    if len(head) != 4 or head[0] != name or head[1] != "v1":
+        raise ParseError(f"{path}: bad {kind} header {raw[0]!r}", line=1)
+    try:
+        return int(head[2]), second(head[3]), raw[1:]
+    except ValueError:
+        raise ParseError(f"{path}: bad {kind} dimensions", line=1) from None
+
+
 def _take_rows(data: SparseDataset, rows: np.ndarray) -> SparseDataset:
     rows = np.asarray(rows, dtype=np.int64)
-    feats, vals, positions = data.row_entries(rows)
+    feats, vals, _ = data.row_entries(rows)
     lens = data.indptr[rows + 1] - data.indptr[rows]
-    del positions
     return SparseDataset(
         indptr=np.concatenate(([0], np.cumsum(lens))),
         indices=feats,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodingMatrix
-from .data_io import SparseDataset
+from .data_io import SparseDataset, read_versioned, write_versioned
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -300,20 +300,11 @@ class _TreesMember:
     def __init__(self, spec: LearnerSpec):
         self.spec = spec
         self.trees: list[_Tree] = []
-        self._cache_token: int | None = None
-        self._cache_pred: np.ndarray | None = None
 
-    def _current_train_pred(self, data: SparseDataset) -> np.ndarray:
-        if self._cache_token != data.token or self._cache_pred is None:
-            self._cache_pred = self.predict(data)
-            self._cache_token = data.token
-        return self._cache_pred
-
-    def fit_round(self, data, targets, epoch_orders) -> None:
-        current = self._current_train_pred(data)
-        tree, leaf_pred = _fit_tree(data, targets - current, self.spec)
+    def fit_round(self, data, targets, output, epoch_orders) -> None:
+        tree, leaf_pred = _fit_tree(data, targets - output, self.spec)
         self.trees.append(tree)
-        self._cache_pred = current + self.spec.learning_rate * leaf_pred
+        output += self.spec.learning_rate * leaf_pred
 
     def predict(self, data, rows=None) -> np.ndarray:
         n = data.num_rows if rows is None else rows.shape[0]
@@ -332,7 +323,7 @@ class _LinearMember:
         self.weights = np.zeros(num_features)
         self.bias = 0.0
 
-    def fit_round(self, data, targets, epoch_orders) -> None:
+    def fit_round(self, data, targets, output, epoch_orders) -> None:
         lr = self.spec.learning_rate
         w = self.weights
         b = self.bias
@@ -347,6 +338,7 @@ class _LinearMember:
                 "linear learner diverged; lower the learning rate"
             )
         self.bias = b
+        output[:] = self.predict(data)
 
     def predict(self, data, rows=None) -> np.ndarray:
         contrib = self.weights[data.indices] * data.values
@@ -412,16 +404,17 @@ def train_round(
     ensemble: BaseLearnerEnsemble,
     data: SparseDataset,
     matrix: CodingMatrix,
-    spec: LearnerSpec | None = None,
+    outputs: np.ndarray,
     threads: int = 1,
 ) -> BaseLearnerEnsemble:
     """Train every column for one round against the current matrix.
 
-    Trees fit one new stage to residuals; the linear learner runs its SGD
-    epochs from its current weights. The per-epoch instance order is shared
-    across columns so permuting columns permutes outputs exactly.
+    `outputs` (N, L) holds each column's prediction on `data` (zeros before
+    round one) and is updated in place: trees fit one new stage to the
+    residuals and add it, the linear learner runs its SGD epochs from its
+    current weights and rewrites its column. The per-epoch instance order
+    is shared across columns so permuting columns permutes outputs exactly.
     """
-    spec = ensemble.spec if spec is None else spec
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if matrix.code_length != ensemble.code_length:
@@ -434,16 +427,18 @@ def train_round(
             f"data has {data.num_features} features, ensemble expects "
             f"{ensemble.num_features}"
         )
+    _check_buffer(ensemble, data, outputs)
     epoch_orders: list[np.ndarray] = []
     if not ensemble.is_boosting:
         rng = np.random.default_rng([ensemble.seed, 7919, ensemble.rounds_done])
-        epoch_orders = [rng.permutation(data.num_rows) for _ in range(spec.epochs_per_round)]
+        epochs = ensemble.spec.epochs_per_round
+        epoch_orders = [rng.permutation(data.num_rows) for _ in range(epochs)]
     else:
         data.sorted_entries  # build the shared sorted view outside worker threads
 
-    def fit_column(j: int) -> None:
+    def fit_column(j: int) -> None:  # writes only column j of `outputs`
         ensemble.members[j].fit_round(
-            data, make_targets(matrix, data.labels, j), epoch_orders
+            data, make_targets(matrix, data.labels, j), outputs[:, j], epoch_orders
         )
 
     _run_columns(fit_column, ensemble.code_length, threads)
@@ -478,19 +473,20 @@ def accumulate_round_outputs(
     Boosting adds only the newest stage; the linear learner recomputes its
     column. The buffer must have been kept current since round zero.
     """
+    _check_buffer(ensemble, data, buffer)
+    for j, member in enumerate(ensemble.members):
+        if ensemble.is_boosting:
+            buffer[:, j] += member.predict_stage(data, -1)
+        else:
+            buffer[:, j] = member.predict(data)
+
+
+def _check_buffer(ensemble, data, buffer) -> None:
     if buffer.shape != (data.num_rows, ensemble.code_length):
         raise DimensionMismatch(
             f"buffer shape {buffer.shape}, expected "
             f"({data.num_rows}, {ensemble.code_length})"
         )
-    for j, member in enumerate(ensemble.members):
-        if ensemble.is_boosting:
-            if member._cache_token == data.token and member._cache_pred is not None:
-                buffer[:, j] = member._cache_pred  # training data: grower already has it
-            else:
-                buffer[:, j] += member.predict_stage(data, -1)
-        else:
-            buffer[:, j] = member.predict(data)
 
 
 def _run_columns(job, code_length: int, threads: int) -> None:
@@ -509,9 +505,7 @@ def _run_columns(job, code_length: int, threads: int) -> None:
 def save_ensemble(ensemble: BaseLearnerEnsemble, path) -> None:
     """Versioned text dump; trees are listed in pre-order."""
     spec = ensemble.spec
-    lines = [f"{_HEADER} v1 {ensemble.code_length} {spec.kind}"]
-    lines.append(f"alpha {spec.learning_rate!r}")
-    lines.append(f"features {ensemble.num_features}")
+    lines = [f"alpha {spec.learning_rate!r}", f"features {ensemble.num_features}"]
     for j, member in enumerate(ensemble.members):
         if isinstance(member, _TreesMember):
             lines.append(f"member {j} {len(member.trees)}")
@@ -522,8 +516,7 @@ def save_ensemble(ensemble: BaseLearnerEnsemble, path) -> None:
             weights = " ".join(repr(float(w)) for w in member.weights)
             lines.append(f"weights {member.weights.shape[0]} {weights}".rstrip())
             lines.append(f"bias {float(member.bias)!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_versioned(path, _HEADER, (ensemble.code_length, spec.kind), lines)
 
 
 def _dump_tree(tree: _Tree, index: int, lines: list[str]) -> None:
@@ -550,70 +543,60 @@ def _dump_tree(tree: _Tree, index: int, lines: list[str]) -> None:
 
 
 def load_ensemble(path) -> BaseLearnerEnsemble:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError(f"{path}: empty ensemble file")
-    head = raw[0].split()
-    if len(head) != 4 or head[0] != _HEADER or head[1] != "v1":
-        raise ParseError(f"{path}: bad ensemble header {raw[0]!r}", line=1)
-    code_length = int(head[2])
-    kind = head[3]
+    code_length, kind, body = read_versioned(path, _HEADER, "ensemble", second=str)
     if kind not in _KINDS:
         raise ParseError(f"{path}: unknown learner kind {kind!r}", line=1)
     try:
-        alpha = float(raw[1].split()[1])
-        num_features = int(raw[2].split()[1])
+        alpha = float(body[0].split()[1])
+        num_features = int(body[1].split()[1])
     except (IndexError, ValueError):
         raise ParseError(f"{path}: bad ensemble property lines") from None
     spec = LearnerSpec(kind=kind, learning_rate=alpha)
     ensemble = new_ensemble(code_length, spec, num_features)
-    pos = 3
+    pos = 2  # body line pos is line pos + 2 of the file
     try:
         for j in range(code_length):
-            parts = raw[pos].split()
+            parts = body[pos].split()
             if parts[0] != "member" or int(parts[1]) != j:
-                raise ParseError(f"{path}: expected member {j}", line=pos + 1)
+                raise ParseError(f"{path}: expected member {j}", line=pos + 2)
             pos += 1
+            member = ensemble.members[j]
             if kind == BOOSTED_TREES:
-                n_trees = int(parts[2])
-                member = ensemble.members[j]
-                for _ in range(n_trees):
-                    tree, pos = _parse_tree(raw, pos, path)
+                for _ in range(int(parts[2])):
+                    tree, pos = _parse_tree(body, pos, path, num_features)
                     member.trees.append(tree)
             else:
-                wparts = raw[pos].split()
-                n_w = int(wparts[1])
-                weights = np.array([float(x) for x in wparts[2 : 2 + n_w]])
-                if weights.shape[0] != n_w:
-                    raise ParseError(f"{path}: truncated weights", line=pos + 1)
-                pos += 1
-                bias = float(raw[pos].split()[1])
-                pos += 1
-                ensemble.members[j].weights = weights
-                ensemble.members[j].bias = bias
+                wparts = body[pos].split()
+                member.weights = np.array([float(x) for x in wparts[2:]])
+                member.bias = float(body[pos + 1].split()[1])
+                if not int(wparts[1]) == member.weights.shape[0] == num_features:
+                    raise ParseError(
+                        f"{path}: expected {num_features} weights", line=pos + 2
+                    )
+                pos += 2
+    except ParseError:
+        raise
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: corrupt ensemble file ({exc})") from None
     return ensemble
 
 
-def _parse_tree(raw: list[str], pos: int, path) -> tuple[_Tree, int]:
-    parts = raw[pos].split()
-    if parts[0] != "tree":
-        raise ParseError(f"{path}: expected a tree header", line=pos + 1)
+def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:
+    """One tree in pre-order: node i is the i-th line after the tree header,
+    and children come after their parent, which keeps traversal finite."""
+    parts = body[pos].split()
     n_nodes = int(parts[2])
-    pos += 1
-    feature = np.empty(n_nodes, dtype=np.int64)
-    threshold = np.empty(n_nodes)
-    left = np.empty(n_nodes, dtype=np.int64)
-    right = np.empty(n_nodes, dtype=np.int64)
-    value = np.empty(n_nodes)
-    for i in range(n_nodes):
-        fields = raw[pos + i].split()
-        nid = int(fields[0])
-        feature[nid] = int(fields[1])
-        threshold[nid] = float(fields[2])
-        left[nid] = int(fields[3])
-        right[nid] = int(fields[4])
-        value[nid] = float(fields[5])
-    return _Tree(feature, threshold, left, right, value), pos + n_nodes
+    if parts[0] != "tree" or n_nodes < 1:
+        raise ParseError(f"{path}: expected a tree header", line=pos + 2)
+    nodes = []
+    for nid in range(n_nodes):
+        fields = body[pos + 1 + nid].split()
+        feature, left, right = int(fields[1]), int(fields[3]), int(fields[4])
+        children_later = nid < left < n_nodes and nid < right < n_nodes
+        is_split = 0 <= feature < num_features and children_later
+        if int(fields[0]) != nid or not (feature == -1 or is_split):
+            raise ParseError(
+                f"{path}: node {nid} out of order or range", line=pos + nid + 3
+            )
+        nodes.append((feature, float(fields[2]), left, right, float(fields[5])))
+    return _Tree(*zip(*nodes)), pos + 1 + n_nodes

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodingMatrix
+from .data_io import read_versioned, write_versioned
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -278,33 +279,20 @@ def train_decoding(
 
 def save_params(params: DecoderParams, path) -> None:
     """Text form: header, K weight rows, one final line of K biases."""
-    lines = [f"{_HEADER} v1 {params.num_classes} {params.code_length}"]
-    for row in params.weights:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines = [" ".join(repr(float(v)) for v in row) for row in params.weights]
     lines.append(" ".join(repr(float(v)) for v in params.biases))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_versioned(path, _HEADER, params.weights.shape, lines)
 
 
 def load_params(path) -> DecoderParams:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError(f"{path}: empty decoder file")
-    head = raw[0].split()
-    if len(head) != 4 or head[0] != _HEADER or head[1] != "v1":
-        raise ParseError(f"{path}: bad decoder header {raw[0]!r}", line=1)
-    try:
-        num_classes, code_length = int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError(f"{path}: bad decoder dimensions", line=1) from None
-    if len(raw) < num_classes + 2:
+    num_classes, code_length, body = read_versioned(path, _HEADER, "decoder")
+    if len(body) < num_classes + 1:
         raise ParseError(f"{path}: truncated decoder file")
     try:
         weights = np.array(
-            [[float(p) for p in raw[1 + i].split()] for i in range(num_classes)]
+            [[float(p) for p in body[i].split()] for i in range(num_classes)]
         )
-        biases = np.array([float(p) for p in raw[1 + num_classes].split()])
+        biases = np.array([float(p) for p in body[num_classes].split()])
     except ValueError:
         raise ParseError(f"{path}: non-numeric entry") from None
     if weights.shape != (num_classes, code_length) or biases.shape != (num_classes,):

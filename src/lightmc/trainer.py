@@ -11,7 +11,6 @@ returned.
 
 from __future__ import annotations
 
-import copy
 import csv
 import time
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import codebook, learners, matrix_optimizer, softmax_decoder
 from .codebook import CodingMatrix
-from .data_io import SparseDataset, load_label_map, save_label_map
+from .data_io import SparseDataset, load_label_map, read_lines, save_label_map
 from .errors import ConfigInvalid, DimensionMismatch, MissingClass, ParseError
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
@@ -169,37 +168,14 @@ def fit(
 ) -> TrainedModel:
     """Run the full training loop and return the best-validation snapshot.
 
+    Mode "ova" trains K learners on the +1/-1 one-vs-rest matrix, never
+    updates the matrix or the decoder, and predicts by the argmax of the
+    raw outputs.
+
     `round_hook`, when given, is called once per round with a dict holding
     round, elapsed, train_loss, valid_error, updated (whether decoder and
     matrix updates fired), and the current matrix.
     """
-    config.validate()
-    if config.mode == MODE_OVA:
-        return fit_ova(data, validation, config, round_hook=round_hook)
-    _check_classes(data)
-    if validation.num_features != data.num_features:
-        raise DimensionMismatch(
-            "validation feature space does not match training data"
-        )
-    num_classes = data.num_classes
-    code_length = resolve_code_length(config, num_classes)
-    matrix = codebook.init_random(num_classes, code_length, config.seed)
-    return _run_loop(data, validation, config, matrix, round_hook)
-
-
-def fit_ova(
-    data: SparseDataset,
-    validation: SparseDataset,
-    config: TrainConfig,
-    *,
-    round_hook: Callable[[dict], None] | None = None,
-) -> TrainedModel:
-    """One-versus-all baseline: K learners, +1 on the own class, -1 elsewhere.
-
-    Prediction is the argmax of the raw outputs; neither the matrix nor the
-    decoder is ever updated. History is recorded exactly as in fit().
-    """
-    config = replace(config, mode=MODE_OVA)
     config.validate()
     _check_classes(data)
     if validation.num_features != data.num_features:
@@ -207,12 +183,11 @@ def fit_ova(
             "validation feature space does not match training data"
         )
     k = data.num_classes
-    entries = np.full((k, k), -1.0)
-    np.fill_diagonal(entries, 1.0)
-    return _run_loop(data, validation, config, CodingMatrix(entries), round_hook)
+    if config.mode == MODE_OVA:
+        matrix = CodingMatrix(2.0 * np.eye(k) - 1.0)
+    else:
+        matrix = codebook.init_random(k, resolve_code_length(config, k), config.seed)
 
-
-def _run_loop(data, validation, config, matrix, round_hook) -> TrainedModel:
     labels = data.labels
     decoder = softmax_decoder.init_from_matrix(matrix)
     ensemble = learners.new_ensemble(
@@ -225,16 +200,14 @@ def _run_loop(data, validation, config, matrix, round_hook) -> TrainedModel:
     o_valid = np.zeros((validation.num_rows, matrix.code_length))
     history: list[RoundRecord] = []
     best_error = np.inf
-    best: tuple[CodingMatrix, DecoderParams, BaseLearnerEnsemble, int, float] | None = None
+    best: tuple[CodingMatrix, DecoderParams, int, float] | None = None
+    best_linear: list[tuple[np.ndarray, float]] = []
     stall = 0
     t_start = time.perf_counter()
     prev_elapsed = 0.0
 
     for i in range(1, config.max_rounds + 1):
-        learners.train_round(
-            ensemble, data, matrix, config.learner, threads=config.threads
-        )
-        learners.accumulate_round_outputs(ensemble, data, o_train)
+        learners.train_round(ensemble, data, matrix, o_train, threads=config.threads)
         learners.accumulate_round_outputs(ensemble, validation, o_valid)
 
         updated = False
@@ -275,7 +248,9 @@ def _run_loop(data, validation, config, matrix, round_hook) -> TrainedModel:
 
         if valid_error < best_error:
             best_error = valid_error
-            best = (matrix, decoder.copy(), copy.deepcopy(ensemble), i, elapsed)
+            best = (matrix, decoder.copy(), i, elapsed)
+            if not ensemble.is_boosting:
+                best_linear = [(m.weights.copy(), m.bias) for m in ensemble.members]
             stall = 0
         else:
             stall += 1
@@ -283,7 +258,14 @@ def _run_loop(data, validation, config, matrix, round_hook) -> TrainedModel:
                 break
 
     assert best is not None
-    matrix, decoder, ensemble, best_round, best_elapsed = best
+    matrix, decoder, best_round, best_elapsed = best
+    # boosting adds one tree per round, so the best round is a prefix
+    ensemble.rounds_done = best_round
+    if ensemble.is_boosting:
+        for member in ensemble.members:
+            del member.trees[best_round:]
+    for member, (weights, bias) in zip(ensemble.members, best_linear):
+        member.weights, member.bias = weights, bias
     return TrainedModel(
         matrix=matrix,
         decoder=decoder,
@@ -298,6 +280,18 @@ def _run_loop(data, validation, config, matrix, round_hook) -> TrainedModel:
     )
 
 
+def fit_ova(
+    data: SparseDataset,
+    validation: SparseDataset,
+    config: TrainConfig,
+    *,
+    round_hook: Callable[[dict], None] | None = None,
+) -> TrainedModel:
+    """One-versus-all baseline: fit() in mode "ova"."""
+    config = replace(config, mode=MODE_OVA)
+    return fit(data, validation, config, round_hook=round_hook)
+
+
 def _matrix_step(matrix, decoder, o_train, labels, config) -> CodingMatrix:
     n = o_train.shape[0]
     batch = config.matrix_batch if config.matrix_batch > 0 else n
@@ -309,14 +303,17 @@ def _matrix_step(matrix, decoder, o_train, labels, config) -> CodingMatrix:
     return matrix
 
 
+def _decode(mode, decoder, outputs) -> np.ndarray:
+    """Class per output row: argmax of the raw outputs for OVA, else the decoder."""
+    if mode == MODE_OVA:
+        return np.argmax(outputs, axis=1)
+    return softmax_decoder.batch_predict(decoder, outputs)
+
+
 def _error_fraction(mode, decoder, outputs, labels) -> float:
     if labels.shape[0] == 0:
         return 0.0
-    if mode == MODE_OVA:
-        predicted = np.argmax(outputs, axis=1)
-    else:
-        predicted = softmax_decoder.batch_predict(decoder, outputs)
-    return float(np.mean(predicted != labels))
+    return float(np.mean(_decode(mode, decoder, outputs) != labels))
 
 
 def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
@@ -327,9 +324,7 @@ def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
             f"{model.num_features}"
         )
     outputs = learners.predict_all(model.ensemble, data)
-    if model.mode == MODE_OVA:
-        return np.argmax(outputs, axis=1)
-    return softmax_decoder.batch_predict(model.decoder, outputs)
+    return _decode(model.mode, model.decoder, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +342,16 @@ def save_history(history: list[RoundRecord], path) -> None:
 
 
 def load_history(path) -> list[RoundRecord]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["round", "elapsed_seconds", "train_loss", "valid_error"]:
-            raise ParseError(f"{path}: unexpected history header {header!r}")
-        out = []
-        for row in reader:
-            out.append(
-                RoundRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            )
-    return out
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header != ["round", "elapsed_seconds", "train_loss", "valid_error"]:
+        raise ParseError(f"{path}: unexpected history header {header!r}")
+    try:
+        return [
+            RoundRecord(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader
+        ]
+    except (IndexError, ValueError):
+        raise ParseError(f"{path}: bad history row", line=reader.line_num) from None
 
 
 def save_model(model: TrainedModel, out_dir) -> None:
@@ -387,12 +381,10 @@ def save_model(model: TrainedModel, out_dir) -> None:
 def load_model(model_dir) -> TrainedModel:
     out = Path(model_dir)
     meta: dict[str, str] = {}
-    with open(out / _META_NAME, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                meta[key] = val
+    for line in read_lines(out / _META_NAME):
+        key, _, val = line.strip().partition("=")
+        if key:
+            meta[key] = val
     if meta.get("format") != "lightmc-model v1":
         raise ParseError(f"{out}: unrecognized model bundle")
     matrix = codebook.load_matrix(out / _FILES["codebook"])
@@ -400,15 +392,21 @@ def load_model(model_dir) -> TrainedModel:
     ensemble = learners.load_ensemble(out / _FILES["ensemble"])
     history = load_history(out / _FILES["history"])
     label_names = load_label_map(out / _FILES["labels"])
-    best_round = int(meta["best_round"])
+    try:
+        mode, best_round = meta["mode"], int(meta["best_round"])
+        num_features, num_classes = int(meta["num_features"]), int(meta["num_classes"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{out / _META_NAME}: missing or bad field ({exc})") from None
+    if mode not in MODES or not 1 <= best_round <= len(history):
+        raise ParseError(f"{out}: bad mode {mode!r} or best_round {best_round}")
     return TrainedModel(
         matrix=matrix,
         decoder=decoder,
         ensemble=ensemble,
         history=history,
-        mode=meta["mode"],
-        num_features=int(meta["num_features"]),
-        num_classes=int(meta["num_classes"]),
+        mode=mode,
+        num_features=num_features,
+        num_classes=num_classes,
         label_names=label_names,
         best_round=best_round,
         convergence_seconds=history[best_round - 1].wall_time,

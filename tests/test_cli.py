@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,88 @@ class TestEvaluate:
         (bad / "codebook.txt").write_text("garbage\n")
         assert run(["evaluate", str(bad), str(train_path)]) == 1
         capsys.readouterr()
+
+
+def _edit_lines(path, edit, *args):
+    lines = path.read_text().splitlines()
+    edit(lines, *args)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_best_round(lines, value):
+    lines[:] = [ln for ln in lines if not ln.startswith("best_round=")]
+    if value is not None:
+        lines.append(f"best_round={value}")
+
+
+def _set_history_row(lines, row):
+    lines[1] = row
+
+
+def _set_root_field(lines, field, value):
+    root = lines.index(next(ln for ln in lines if ln.startswith("tree 0 "))) + 1
+    fields = lines[root].split()
+    assert fields[1] != "-1", "the first tree's root must be a split"
+    fields[field] = value
+    lines[root] = " ".join(fields)
+
+
+# case -> (bundle file, edit, edit arguments); each edit leaves a bundle
+# the loader must reject
+CORRUPTIONS = {
+    "meta_without_best_round": ("meta.txt", _set_best_round, None),
+    "meta_non_integer_best_round": ("meta.txt", _set_best_round, "seven"),
+    "history_non_numeric_row": ("history.csv", _set_history_row, "1,abc,0.1,0.2"),
+    "tree_root_is_its_own_left_child": ("ensemble.txt", _set_root_field, 3, "0"),
+    "tree_feature_out_of_range": ("ensemble.txt", _set_root_field, 1, "8"),
+}
+
+
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    return err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_bundle_is_a_parse_error(
+        self, case, overfit_bundle, blob_file, tmp_path, capsys
+    ):
+        name, edit, *args = CORRUPTIONS[case]
+        bundle = tmp_path / "bundle"
+        shutil.copytree(overfit_bundle, bundle)
+        _edit_lines(bundle / name, edit, *args)
+        train_path, _ = blob_file
+        assert run(["evaluate", str(bundle), str(train_path)]) == 1
+        assert_one_error_line(capsys)
+
+    def test_undecodable_bundle_file(self, overfit_bundle, blob_file, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(overfit_bundle, bundle)
+        with open(bundle / "codebook.txt", "ab") as fh:
+            fh.write(b"\xff\n")
+        train_path, _ = blob_file
+        assert run(["evaluate", str(bundle), str(train_path)]) == 1
+        assert_one_error_line(capsys)
+
+    def test_undecodable_data_file(self, overfit_bundle, blob_file, tmp_path, capsys):
+        train_path, _ = blob_file
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(train_path.read_bytes() + b"0 1:\xff\n")
+        assert run(["evaluate", str(overfit_bundle), str(bad)]) == 1
+        assert_one_error_line(capsys)
+
+    def test_non_integer_threads_variable(self, blob_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LIGHTMC_THREADS", "abc")
+        train_path, _ = blob_file
+        assert FAST[-2:] == ["--threads", "1"]
+        code = run(
+            ["train", "--data", str(train_path), "--out", str(tmp_path / "m")] + FAST[:-2]
+        )
+        assert code == 1
+        assert "LIGHTMC_THREADS" in assert_one_error_line(capsys)
 
 
 class TestCompare:

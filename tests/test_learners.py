@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestTreeFitting:
         data, _ = random_sparse(rng, 40, 5)
         m = codebook.CodingMatrix(np.full((3, 2), 0.7))
         ensemble = learners.new_ensemble(2, LearnerSpec(), data.num_features)
-        learners.train_round(ensemble, data, m)
+        learners.train_round(ensemble, data, m, np.zeros((40, 2)))
         outputs = learners.predict_all(ensemble, data)
         np.testing.assert_allclose(outputs, 0.1 * 0.7, rtol=1e-12)
         # a constant fit needs no split
@@ -162,10 +164,11 @@ class TestTreeFitting:
         data, _ = random_sparse(rng, 80, 6)
         m = codebook.init_random(3, 3, seed=2)
         one = learners.new_ensemble(3, LearnerSpec(), data.num_features)
-        learners.train_round(one, data, m)
+        learners.train_round(one, data, m, np.zeros((80, 3)))
         two = learners.new_ensemble(3, LearnerSpec(), data.num_features)
-        learners.train_round(two, data, m)
-        learners.train_round(two, data, m)
+        out_two = np.zeros((80, 3))
+        learners.train_round(two, data, m, out_two)
+        learners.train_round(two, data, m, out_two)
         for j in range(3):
             targets = learners.make_targets(m, data.labels, j)
             mse_one = np.mean((learners.predict_all(one, data)[:, j] - targets) ** 2)
@@ -203,8 +206,9 @@ class TestEnsemble:
         for kind in (BOOSTED_TREES, LINEAR_SGD):
             spec = LearnerSpec(kind=kind)
             ensemble = learners.new_ensemble(3, spec, data.num_features, seed=1)
+            outputs = np.zeros((50, 3))
             for _ in range(3):
-                learners.train_round(ensemble, data, m)
+                learners.train_round(ensemble, data, m, outputs)
             batch = learners.predict_all(ensemble, data)
             single = data_io.from_dense(dense[7:8], np.array([0]))
             single_out = learners.predict_all(
@@ -226,12 +230,31 @@ class TestEnsemble:
         data, _ = random_sparse(rng, 60, 5)
         m = codebook.CodingMatrix(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]))
         ensemble = learners.new_ensemble(2, LearnerSpec(), data.num_features)
+        outputs = np.zeros((60, 2))
         for _ in range(4):
-            learners.train_round(ensemble, data, m)
+            learners.train_round(ensemble, data, m, outputs)
         total = learners.predict_all(ensemble, data)
         member = ensemble.members[0]
         increments = sum(member.predict_stage(data, t) for t in range(4))
         np.testing.assert_allclose(total[:, 0], increments, atol=1e-12)
+
+    def test_outputs_buffer_is_the_running_prediction(self):
+        rng = np.random.default_rng(3)
+        data, _ = random_sparse(rng, 60, 5)
+        m = codebook.init_random(3, 3, seed=2)
+        trees = learners.new_ensemble(3, LearnerSpec(), data.num_features)
+        linear = learners.new_ensemble(
+            3, LearnerSpec(kind=LINEAR_SGD), data.num_features, seed=4
+        )
+        buf_trees = np.zeros((60, 3))
+        buf_linear = np.zeros((60, 3))
+        for rounds in range(1, 5):
+            learners.train_round(trees, data, m, buf_trees)
+            learners.train_round(linear, data, m, buf_linear)
+            for j, member in enumerate(trees.members):
+                stages = sum(member.predict_stage(data, t) for t in range(rounds))
+                assert np.array_equal(buf_trees[:, j], stages)
+            assert np.array_equal(buf_linear, learners.predict_all(linear, data))
 
     def test_column_permutation_permutes_outputs(self):
         rng = np.random.default_rng(6)
@@ -243,9 +266,11 @@ class TestEnsemble:
             spec = LearnerSpec(kind=kind)
             base = learners.new_ensemble(4, spec, data.num_features, seed=9)
             other = learners.new_ensemble(4, spec, data.num_features, seed=9)
+            buf_base = np.zeros((60, 4))
+            buf_other = np.zeros((60, 4))
             for _ in range(2):
-                learners.train_round(base, data, m)
-                learners.train_round(other, data, permuted)
+                learners.train_round(base, data, m, buf_base)
+                learners.train_round(other, data, permuted, buf_other)
             out_base = learners.predict_all(base, data)
             out_other = learners.predict_all(other, data)
             assert np.array_equal(out_base[:, perm], out_other)
@@ -259,8 +284,9 @@ class TestEnsemble:
             ensemble = learners.new_ensemble(
                 3, LearnerSpec(kind=LINEAR_SGD), data.num_features, seed=21
             )
+            outputs = np.zeros((50, 3))
             for _ in range(3):
-                learners.train_round(ensemble, data, m)
+                learners.train_round(ensemble, data, m, outputs)
             outs.append(learners.predict_all(ensemble, data))
         assert np.array_equal(outs[0], outs[1])
 
@@ -279,8 +305,9 @@ class TestEnsemble:
         m = codebook.CodingMatrix(np.array([[-1.0], [1.0], [-1.0]]))
         spec = LearnerSpec(kind=LINEAR_SGD, learning_rate=0.05, epochs_per_round=5)
         ensemble = learners.new_ensemble(1, spec, data.num_features, seed=2)
+        buffer = np.zeros((data.num_rows, 1))
         for _ in range(20):
-            learners.train_round(ensemble, data, m)
+            learners.train_round(ensemble, data, m, buffer)
         outputs = learners.predict_all(ensemble, data)[:, 0]
         targets = learners.make_targets(m, data.labels, 0)
         agreement = np.mean(np.sign(outputs) == np.sign(targets))
@@ -292,12 +319,34 @@ class TestEnsemble:
         m = codebook.init_random(3, 3, seed=6)
         serial = learners.new_ensemble(3, LearnerSpec(), data.num_features)
         pooled = learners.new_ensemble(3, LearnerSpec(), data.num_features)
+        out_serial = np.zeros((60, 3))
+        out_pooled = np.zeros((60, 3))
         for _ in range(2):
-            learners.train_round(serial, data, m, threads=1)
-            learners.train_round(pooled, data, m, threads=4)
+            learners.train_round(serial, data, m, out_serial, threads=1)
+            learners.train_round(pooled, data, m, out_pooled, threads=4)
         assert np.array_equal(
             learners.predict_all(serial, data), learners.predict_all(pooled, data, threads=4)
         )
+
+    def test_threads_write_only_their_own_buffer_column(self):
+        rng = np.random.default_rng(16)
+        data, _ = random_sparse(rng, 80, 6, num_classes=5)
+        m = codebook.init_random(5, 8, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in (BOOSTED_TREES, LINEAR_SGD):
+                buffers = []
+                for threads in (1, 8):
+                    ensemble = learners.new_ensemble(
+                        8, LearnerSpec(kind=kind), data.num_features, seed=2
+                    )
+                    buffers.append(np.zeros((80, 8)))
+                    for _ in range(3):
+                        learners.train_round(ensemble, data, m, buffers[-1], threads)
+                assert np.array_equal(buffers[0], buffers[1])
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_errors(self):
         rng = np.random.default_rng(15)
@@ -314,10 +363,12 @@ class TestEnsemble:
             label_names=("0", "1", "2"),
         )
         with pytest.raises(EmptyDataset):
-            learners.train_round(ensemble, empty, m)
+            learners.train_round(ensemble, empty, m, np.zeros((0, 3)))
         wrong = codebook.init_random(3, 4, seed=1)
         with pytest.raises(DimensionMismatch):
-            learners.train_round(ensemble, data, wrong)
+            learners.train_round(ensemble, data, wrong, np.zeros((10, 3)))
+        with pytest.raises(DimensionMismatch):
+            learners.train_round(ensemble, data, m, np.zeros((10, 2)))
 
 
 class TestSerialization:
@@ -326,8 +377,9 @@ class TestSerialization:
         data, _ = random_sparse(rng, 70, 6)
         m = codebook.init_random(3, 3, seed=7)
         ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=8), data.num_features)
+        outputs = np.zeros((70, 3))
         for _ in range(3):
-            learners.train_round(ensemble, data, m)
+            learners.train_round(ensemble, data, m, outputs)
         path = tmp_path / "ensemble.txt"
         learners.save_ensemble(ensemble, path)
         again = learners.load_ensemble(path)
@@ -343,8 +395,9 @@ class TestSerialization:
         m = codebook.CodingMatrix(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]))
         spec = LearnerSpec(kind=LINEAR_SGD)
         ensemble = learners.new_ensemble(2, spec, data.num_features, seed=3)
+        outputs = np.zeros((40, 2))
         for _ in range(2):
-            learners.train_round(ensemble, data, m)
+            learners.train_round(ensemble, data, m, outputs)
         path = tmp_path / "ensemble.txt"
         learners.save_ensemble(ensemble, path)
         again = learners.load_ensemble(path)

@@ -215,6 +215,38 @@ class TestFitOva:
         assert all(np.isfinite(rec.train_loss) for rec in model.history)
 
 
+class TestBestRoundSnapshot:
+    @pytest.mark.parametrize(
+        "learner",
+        [LearnerSpec(learning_rate=0.5, max_leaves=6),
+         LearnerSpec(kind=LINEAR_SGD, learning_rate=0.002)],
+        ids=["trees", "linear_sgd"],
+    )
+    def test_early_stopped_bundle_equals_rerun_to_best_round(
+        self, tmp_path, small_blobs, learner
+    ):
+        train, test, _ = small_blobs
+        stopped = trainer.fit(
+            train, test, quick_config(max_rounds=20, early_stop_rounds=3, learner=learner)
+        )
+        assert stopped.best_round < len(stopped.history)
+        rerun = trainer.fit(
+            train,
+            test,
+            quick_config(
+                max_rounds=stopped.best_round, early_stop_rounds=0, learner=learner
+            ),
+        )
+        trainer.save_model(stopped, tmp_path / "stopped")
+        trainer.save_model(rerun, tmp_path / "rerun")
+        names = sorted(p.name for p in (tmp_path / "stopped").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "rerun").iterdir())
+        for name in names:
+            if name != "history.csv":
+                stopped_bytes = (tmp_path / "stopped" / name).read_bytes()
+                assert stopped_bytes == (tmp_path / "rerun" / name).read_bytes(), name
+
+
 class TestJointLoopBehaviour:
     def test_lightmc_train_loss_not_above_fixed_ecoc(self):
         # 3-class blobs, shared seed and initial matrix, equal round counts
