@@ -10,7 +10,6 @@ matrix_batch, valid_fraction). Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -19,10 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook, learners, trainer
-from .data_io import load_sparse_text, read_lines, stratified_split
+from .data_io import load_sparse_text, read_lines, stratified_split, write_csv
 from .errors import InvalidArg, LightMCError, ParseError
 from .learners import LearnerSpec
 from .trainer import MODE_LIGHTMC, MODES, TrainConfig
+
+COMPARE_HEADER = ("mode", "round", "elapsed_seconds", "valid_error")
+DISTANCES_HEADER = ("round", "class_a", "class_b", "distance")
 
 _DEFAULTS: dict[str, object] = {
     "mode": MODE_LIGHTMC,
@@ -309,38 +311,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"rounds_run={len(model.history)}"
         )
 
-    with open(out / "compare.csv", "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "round", "elapsed_seconds", "valid_error"])
-        for mode, rnd, elapsed, err in merged_rows:
-            writer.writerow([mode, rnd, repr(elapsed), repr(err)])
+    write_csv(out / "compare.csv", COMPARE_HEADER, merged_rows)
     if pairs:
-        with open(out / "distances.csv", "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "class_a", "class_b", "distance"])
-            for rnd, a, b, dist in distance_rows:
-                writer.writerow([rnd, a, b, repr(dist)])
+        write_csv(out / "distances.csv", DISTANCES_HEADER, distance_rows)
     return 0
-
-
-def load_compare_csv(path) -> list[tuple[str, int, float, float]]:
-    """Read a compare.csv back as (mode, round, elapsed_seconds, valid_error)."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["mode", "round", "elapsed_seconds", "valid_error"]:
-            raise ParseError(f"{path}: unexpected compare header {header!r}")
-        return [(r[0], int(r[1]), float(r[2]), float(r[3])) for r in reader]
-
-
-def load_distances_csv(path) -> list[tuple[int, int, int, float]]:
-    """Read a distances.csv back as (round, class_a, class_b, distance)."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["round", "class_a", "class_b", "distance"]:
-            raise ParseError(f"{path}: unexpected distances header {header!r}")
-        return [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader]
 
 
 def main(argv=None) -> int:

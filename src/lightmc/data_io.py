@@ -8,6 +8,7 @@ is kept for reporting and for loading evaluation files consistently.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,8 @@ class SparseDataset:
 
     Immutable after construction; per-row feature indices are strictly
     increasing. `label_names[k]` is the original token of dense class k.
+    Trees read the entries through one cached copy sorted by (feature,
+    value): `sorted_entries`, and `columns`, its per-feature offsets.
     """
 
     indptr: np.ndarray
@@ -59,46 +62,27 @@ class SparseDataset:
         return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-major view: (col_indptr, entry_rows, entry_values).
-
-        Row order is preserved within each column (stable sort), so any
-        consumer iterating a column sees instances in dataset order.
-        """
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.num_features)
-        col_indptr = np.concatenate(([0], np.cumsum(counts)))
-        return col_indptr, self._row_ids[order], self.values[order]
-
-    @cached_property
     def sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All stored entries sorted by (feature, value): (features, values, rows).
 
-        Computed once per dataset; tree training partitions this order down
-        the tree instead of re-sorting per node.
+        The one sorted copy of the entries, built once per dataset. Tree
+        training partitions this order down the tree instead of re-sorting
+        per node; `columns` slices it by feature.
         """
         order = np.lexsort((self.values, self.indices))
         return self.indices[order], self.values[order], self._row_ids[order]
 
-    def row_entries(
-        self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All stored entries of the given rows.
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column-major view: (col_indptr, entry_rows, entry_values).
 
-        Returns (features, values, row_positions) where row_positions index
-        into `rows`, not the full dataset.
+        Feature f's entries are `[col_indptr[f], col_indptr[f + 1])` of the
+        row and value arrays of `sorted_entries`, so within a column they
+        are ordered by value, not by row.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lens = self.indptr[rows + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0), empty
-        positions = np.repeat(np.arange(rows.shape[0]), lens)
-        ends = np.cumsum(lens)
-        flat = np.arange(total) - np.repeat(ends - lens, lens) + np.repeat(starts, lens)
-        return self.indices[flat], self.values[flat], positions
+        _, values, rows = self.sorted_entries
+        counts = np.bincount(self.indices, minlength=self.num_features)
+        return np.concatenate(([0], np.cumsum(counts))), rows, values
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.num_rows, self.num_features))
@@ -297,14 +281,45 @@ def read_versioned(path, name, kind, second=int) -> tuple[int, object, list[str]
         raise ParseError(f"{path}: bad {kind} dimensions", line=1) from None
 
 
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """Write a comma-separated table: the header line, then one line per row."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header: tuple[str, ...], types: tuple) -> list[tuple]:
+    """Read a table written by write_csv; field i of a row is `types[i](text)`.
+
+    A wrong header, a row of the wrong width or a field its type rejects
+    raises ParseError.
+    """
+    lines = read_lines(path)
+    if not lines or lines[0] != ",".join(header):
+        raise ParseError(f"{path}: expected the header {','.join(header)!r}", line=1)
+    reader = csv.reader(lines[1:])
+    table = []
+    try:
+        for row in reader:
+            if len(row) != len(types):
+                raise ValueError
+            table.append(tuple(cast(text) for cast, text in zip(types, row)))
+    except (ValueError, csv.Error):
+        raise ParseError(f"{path}: bad row", line=reader.line_num + 1) from None
+    return table
+
+
 def _take_rows(data: SparseDataset, rows: np.ndarray) -> SparseDataset:
-    rows = np.asarray(rows, dtype=np.int64)
-    feats, vals, _ = data.row_entries(rows)
+    """The given rows, ascending, as a new dataset."""
+    keep = np.zeros(data.num_rows, dtype=bool)
+    keep[rows] = True
+    entries = keep[data._row_ids]
     lens = data.indptr[rows + 1] - data.indptr[rows]
     return SparseDataset(
         indptr=np.concatenate(([0], np.cumsum(lens))),
-        indices=feats,
-        values=vals,
+        indices=data.indices[entries],
+        values=data.values[entries],
         labels=data.labels[rows],
         num_features=data.num_features,
         num_classes=data.num_classes,

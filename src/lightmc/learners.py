@@ -5,6 +5,10 @@ M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
 (exact greedy splits on sparse rows, one tree per outer round, predictions
 are the shrinkage-scaled sum of tree outputs) and a per-instance SGD linear
 model. Columns are independent and may be fitted in parallel.
+
+Trees read a dataset only through its one (feature, value)-sorted entry
+view: growing partitions `sorted_entries` down the tree, predicting slices
+`columns` by feature, and both send rows left or right with `_go_left`.
 """
 
 from __future__ import annotations
@@ -82,59 +86,40 @@ class _Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
 
-    def predict(self, data: SparseDataset, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(data.num_rows)
-        out = np.empty(rows.shape[0])
-        stack = [(0, rows, np.arange(rows.shape[0]))]
+    def predict(self, data: SparseDataset) -> np.ndarray:
+        col_indptr, col_rows, col_vals = data.columns
+        side = np.empty(data.num_rows, dtype=bool)
+        out = np.empty(data.num_rows)
+        stack = [(0, np.arange(data.num_rows))]
         while stack:
-            nid, rr, pp = stack.pop()
-            if self.feature[nid] < 0:
-                out[pp] = self.value[nid]
-            elif rr.size:
-                mask = _left_mask(
-                    data, rr, int(self.feature[nid]), float(self.threshold[nid])
+            nid, rows = stack.pop()
+            feat = self.feature[nid]
+            if feat < 0:
+                out[rows] = self.value[nid]
+            elif rows.size:
+                lo, hi = col_indptr[feat], col_indptr[feat + 1]
+                left = _go_left(
+                    rows, col_rows[lo:hi], col_vals[lo:hi], self.threshold[nid], side
                 )
-                stack.append((int(self.left[nid]), rr[mask], pp[mask]))
-                stack.append((int(self.right[nid]), rr[~mask], pp[~mask]))
+                stack.append((int(self.left[nid]), rows[left]))
+                stack.append((int(self.right[nid]), rows[~left]))
         return out
 
 
-def _left_mask(
-    data: SparseDataset, rows: np.ndarray, feature: int, threshold: float
-) -> np.ndarray:
-    """Boolean mask over `rows` (sorted ascending): x[row, feature] <= threshold.
+def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
+    """Mask over `rows`: does each row's value of the split feature go left?
 
-    Rows without a stored entry take the implicit value 0.
+    `ent_rows`/`ent_vals` are stored entries of the split feature covering
+    every row of `rows` that has one; rows without an entry take the
+    implicit value 0. `side` is a scratch buffer indexed by row id. Entries
+    of rows outside `rows` are written to it but never read.
     """
-    col_indptr, col_rows, col_vals = data.columns
-    lo, hi = col_indptr[feature], col_indptr[feature + 1]
-    crows = col_rows[lo:hi]
-    cvals = col_vals[lo:hi]
-    mask = np.full(rows.shape[0], 0.0 <= threshold)
-    pos = np.searchsorted(rows, crows)
-    hit = pos < rows.shape[0]
-    hit[hit] = rows[pos[hit]] == crows[hit]
-    mask[pos[hit]] = cvals[hit] <= threshold
-    return mask
+    side[rows] = 0.0 <= threshold
+    side[ent_rows] = ent_vals <= threshold
+    return side[rows]
 
 
-def _best_split(data, rows, row_residuals, total_sum, spec):
-    """Best variance-reduction split of a node, or None.
-
-    Convenience wrapper over the presorted search; `row_residuals` is
-    aligned with `rows`.
-    """
-    sf, sv, srow = data.sorted_entries
-    in_node = np.zeros(data.num_rows, dtype=bool)
-    in_node[rows] = True
-    ents = np.flatnonzero(in_node[srow])
-    res_full = np.zeros(data.num_rows)
-    res_full[rows] = row_residuals
-    return _best_split_sorted(sf, sv, srow, ents, rows, res_full, total_sum, spec)
-
-
-def _best_split_sorted(sf, sv, srow, ents, rows, res_full, total_sum, spec):
+def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     """Split search over a node's slice of the presorted entry arrays.
 
     `ents` indexes (sf, sv, srow) and is ascending, so the node's entries
@@ -213,19 +198,6 @@ def _best_split_sorted(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     return float(gain[best]), int(gf[cand[best]]), float(thr)
 
 
-def _apply_split(sf, sv, srow, ents, rows, feature, threshold, side_full):
-    """Write each node row's split side into the scratch buffer `side_full`.
-
-    `side_full` is indexed by global row id; only positions of `rows` are
-    written. Rows without a stored entry at `feature` take the implicit
-    value 0.
-    """
-    side_full[rows] = 0.0 <= threshold
-    sel = ents[sf[ents] == feature]
-    if sel.size:
-        side_full[srow[sel]] = sv[sel] <= threshold
-
-
 def _fit_tree(data, residuals, spec):
     """Grow one least-squares tree best-first under the leaf cap.
 
@@ -246,7 +218,7 @@ def _fit_tree(data, residuals, spec):
 
     def consider(node_id: int) -> None:
         rows_n = leaf_rows[node_id]
-        split = _best_split_sorted(
+        split = _best_split(
             sf, sv, srow, leaf_ents[node_id], rows_n, residuals,
             float(residuals[rows_n].sum()), spec,
         )
@@ -263,8 +235,8 @@ def _fit_tree(data, residuals, spec):
         _, _, node_id, feat, thr = candidates.pop(best_i)
         rows_n = leaf_rows.pop(node_id)
         ents_n = leaf_ents.pop(node_id)
-        _apply_split(sf, sv, srow, ents_n, rows_n, feat, thr, side_full)
-        side = side_full[rows_n]
+        split_ents = ents_n[sf[ents_n] == feat]
+        side = _go_left(rows_n, srow[split_ents], sv[split_ents], thr, side_full)
         rows_l, rows_r = rows_n[side], rows_n[~side]
         ent_side = side_full[srow[ents_n]]
         lid, rid = len(feature), len(feature) + 1
@@ -306,11 +278,10 @@ class _TreesMember:
         self.trees.append(tree)
         output += self.spec.learning_rate * leaf_pred
 
-    def predict(self, data, rows=None) -> np.ndarray:
-        n = data.num_rows if rows is None else rows.shape[0]
-        out = np.zeros(n)
+    def predict(self, data) -> np.ndarray:
+        out = np.zeros(data.num_rows)
         for tree in self.trees:
-            out += tree.predict(data, rows)
+            out += tree.predict(data)
         return self.spec.learning_rate * out
 
     def predict_stage(self, data, stage: int) -> np.ndarray:
@@ -340,13 +311,12 @@ class _LinearMember:
         self.bias = b
         output[:] = self.predict(data)
 
-    def predict(self, data, rows=None) -> np.ndarray:
+    def predict(self, data) -> np.ndarray:
         contrib = self.weights[data.indices] * data.values
-        out = (
+        return (
             np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
             + self.bias
         )
-        return out if rows is None else out[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +426,8 @@ def predict_all(
             f"{ensemble.num_features}"
         )
     out = np.zeros((data.num_rows, ensemble.code_length))
-    data.columns
+    if ensemble.is_boosting:
+        data.columns  # build the shared view outside worker threads
 
     def predict_column(j: int) -> None:
         out[:, j] = ensemble.members[j].predict(data)
@@ -551,6 +522,7 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
         num_features = int(body[1].split()[1])
     except (IndexError, ValueError):
         raise ParseError(f"{path}: bad ensemble property lines") from None
+    _check_dimensions(path, body, code_length, kind, num_features)
     spec = LearnerSpec(kind=kind, learning_rate=alpha)
     ensemble = new_ensemble(code_length, spec, num_features)
     pos = 2  # body line pos is line pos + 2 of the file
@@ -579,6 +551,24 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: corrupt ensemble file ({exc})") from None
     return ensemble
+
+
+def _check_dimensions(path, body, code_length, kind, num_features) -> None:
+    """Reject header dimensions the body cannot hold before allocating them.
+
+    Every member starts with a `member` line, and a linear member's weights
+    line holds num_features numbers of at least one digit and a separator.
+    """
+    members = sum(line.startswith("member ") for line in body)
+    weight_chars = sum(len(line) for line in body if line.startswith("weights "))
+    if members != code_length or (
+        kind == LINEAR_SGD and 2 * num_features * code_length > weight_chars
+    ):
+        raise ParseError(
+            f"{path}: header declares {code_length} members of "
+            f"{num_features} features, the body holds {members} members",
+            line=1,
+        )
 
 
 def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:

@@ -11,7 +11,6 @@ returned.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +20,14 @@ import numpy as np
 
 from . import codebook, learners, matrix_optimizer, softmax_decoder
 from .codebook import CodingMatrix
-from .data_io import SparseDataset, load_label_map, read_lines, save_label_map
+from .data_io import (
+    SparseDataset,
+    load_label_map,
+    read_csv,
+    read_lines,
+    save_label_map,
+    write_csv,
+)
 from .errors import ConfigInvalid, DimensionMismatch, MissingClass, ParseError
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
@@ -231,7 +237,7 @@ def fit(
         valid_error = _error_fraction(config.mode, decoder, o_valid, validation.labels)
         elapsed = time.perf_counter() - t_start
         if elapsed <= prev_elapsed:  # keep wall times strictly increasing
-            elapsed = np.nextafter(prev_elapsed, np.inf)
+            elapsed = float(np.nextafter(prev_elapsed, np.inf))
         prev_elapsed = elapsed
         history.append(RoundRecord(i, elapsed, train_loss, valid_error))
         if round_hook is not None:
@@ -331,27 +337,16 @@ def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
 # model bundle
 
 
+HISTORY_HEADER = ("round", "elapsed_seconds", "train_loss", "valid_error")
+
+
 def save_history(history: list[RoundRecord], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "elapsed_seconds", "train_loss", "valid_error"])
-        for rec in history:
-            writer.writerow(
-                [rec.round, repr(rec.wall_time), repr(rec.train_loss), repr(rec.valid_error)]
-            )
+    write_csv(path, HISTORY_HEADER, history)
 
 
 def load_history(path) -> list[RoundRecord]:
-    reader = csv.reader(read_lines(path))
-    header = next(reader, None)
-    if header != ["round", "elapsed_seconds", "train_loss", "valid_error"]:
-        raise ParseError(f"{path}: unexpected history header {header!r}")
-    try:
-        return [
-            RoundRecord(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader
-        ]
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad history row", line=reader.line_num) from None
+    rows = read_csv(path, HISTORY_HEADER, (int, float, float, float))
+    return [RoundRecord(*row) for row in rows]
 
 
 def save_model(model: TrainedModel, out_dir) -> None:

@@ -243,6 +243,28 @@ class TestBadInput:
         assert run(["evaluate", str(bundle), str(train_path)]) == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "lightmc-ensemble v1 1000000000 boosted_trees\nalpha 1.0\n"
+            "features 8\nmember 0 0\n",
+            "lightmc-ensemble v1 1 linear_sgd\nalpha 0.1\n"
+            "features 1000000000000\nmember 0\nweights 1 0.5\nbias 0.0\n",
+        ],
+        ids=["members", "features"],
+    )
+    def test_ensemble_header_beyond_its_body(
+        self, text, overfit_bundle, blob_file, tmp_path, capsys
+    ):
+        # the loader must not allocate what the header declares before
+        # checking it against the body
+        bundle = tmp_path / "bundle"
+        shutil.copytree(overfit_bundle, bundle)
+        (bundle / "ensemble.txt").write_text(text)
+        train_path, _ = blob_file
+        assert run(["evaluate", str(bundle), str(train_path)]) == 1
+        assert "header declares" in assert_one_error_line(capsys)
+
     def test_undecodable_bundle_file(self, overfit_bundle, blob_file, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(overfit_bundle, bundle)
@@ -282,11 +304,15 @@ class TestCompare:
         assert code == 0
         printed = capsys.readouterr().out
         assert "mode=lightmc" in printed and "mode=ecoc_fixed" in printed
-        rows = cli.load_compare_csv(out / "compare.csv")
+        rows = data_io.read_csv(
+            out / "compare.csv", cli.COMPARE_HEADER, (str, int, float, float)
+        )
         modes = {row[0] for row in rows}
         assert modes == {"lightmc", "ecoc_fixed"}
         assert len(rows) == 2 * 6
-        drows = cli.load_distances_csv(out / "distances.csv")
+        drows = data_io.read_csv(
+            out / "distances.csv", cli.DISTANCES_HEADER, (int, int, int, float)
+        )
         assert len(drows) == 6 * 2  # per round per pair, lightmc only
         assert all(np.isfinite(row[3]) for row in drows)
         assert {(row[1], row[2]) for row in drows} == {(0, 1), (0, 2)}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightmc import data_io
+from lightmc import cli, data_io, trainer
 from lightmc.errors import (
     EmptyFile,
     InvalidArg,
@@ -173,21 +173,6 @@ class TestStratifiedSplit:
 
 
 class TestSparseDatasetViews:
-    def test_row_entries_matches_rows(self):
-        rng = np.random.default_rng(11)
-        dense = rng.normal(size=(12, 5))
-        dense[rng.random((12, 5)) < 0.4] = 0.0
-        labels = rng.integers(0, 3, size=12)
-        labels[:3] = [0, 1, 2]
-        data = data_io.from_dense(dense, labels)
-        rows = np.array([2, 5, 9])
-        feats, vals, positions = data.row_entries(rows)
-        for pos in range(3):
-            sel = positions == pos
-            idx, v = data.row(rows[pos])
-            assert np.array_equal(feats[sel], idx)
-            assert np.array_equal(vals[sel], v)
-
     def test_columns_view_consistent(self):
         rng = np.random.default_rng(13)
         dense = rng.normal(size=(10, 4))
@@ -214,3 +199,52 @@ class TestSparseDatasetViews:
         assert np.array_equal(order, np.arange(sf.shape[0]))
         for f, v, r in zip(sf[:20], sv[:20], srow[:20]):
             assert dense[r, f] == v
+
+
+def _table_loader(header, types):
+    return lambda path: data_io.read_csv(path, header, types)
+
+
+# file kind -> (header, loader, one good row)
+CSV_KINDS = {
+    "history": (trainer.HISTORY_HEADER, trainer.load_history, (3, 0.5, 1.25, 0.1)),
+    "compare": (
+        cli.COMPARE_HEADER,
+        _table_loader(cli.COMPARE_HEADER, (str, int, float, float)),
+        ("ova", 2, 0.75, 0.5),
+    ),
+    "distances": (
+        cli.DISTANCES_HEADER,
+        _table_loader(cli.DISTANCES_HEADER, (int, int, int, float)),
+        (4, 0, 1, 12.5),
+    ),
+}
+BAD_ROWS = {
+    "non_numeric": lambda good: "x," * (len(good) - 1) + "x",
+    "short": lambda good: ",".join(map(str, good[:-1])),
+    "long": lambda good: ",".join(map(str, good + good[-1:])),
+    "blank": lambda good: "",
+    "undecodable": lambda good: "\udcff",
+}
+
+
+class TestCsv:
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+    def test_bad_row_is_a_parse_error(self, kind, bad, tmp_path):
+        header, load, good = CSV_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        data_io.write_csv(path, header, [good])
+        assert load(path) == [good]
+        text = path.read_text() + BAD_ROWS[bad](good) + "\n"
+        path.write_bytes(text.encode("ascii", "surrogateescape"))
+        with pytest.raises(ParseError):
+            load(path)
+
+    @pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+    def test_bad_header_is_a_parse_error(self, kind, tmp_path):
+        header, load, _ = CSV_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(",".join(reversed(header)) + "\n")
+        with pytest.raises(ParseError):
+            load(path)

@@ -27,6 +27,15 @@ def random_sparse(rng, n, num_features, zero_fraction=0.4, num_classes=3):
     return data_io.from_dense(dense, labels), dense
 
 
+def root_split(data, residuals, total_sum, spec):
+    """Best split of the root node: every row and every stored entry."""
+    sf, sv, srow = data.sorted_entries
+    return _best_split(
+        sf, sv, srow, np.arange(sf.shape[0]), np.arange(data.num_rows),
+        residuals, total_sum, spec,
+    )
+
+
 def _evaluate_split(dense, residuals, feature, threshold):
     """Gain of one concrete split, computed directly from the dense data."""
     n = dense.shape[0]
@@ -114,9 +123,7 @@ class TestSplitSearch:
             residuals = rng.normal(size=n)
             msl = int(rng.integers(1, 3))
             spec = LearnerSpec(min_samples_leaf=msl)
-            got = _best_split(
-                data, np.arange(n), residuals, float(residuals.sum()), spec
-            )
+            got = root_split(data, residuals, float(residuals.sum()), spec)
             want = brute_force_best_split(dense, residuals, msl)
             assert (got is None) == (want is None)
             if got is not None:
@@ -135,16 +142,14 @@ class TestSplitSearch:
         labels[:3] = [0, 1, 2]
         data = data_io.from_dense(dense, labels)
         residuals = rng.normal(size=30)
-        got = _best_split(
-            data, np.arange(30), residuals, float(residuals.sum()), LearnerSpec()
-        )
+        got = root_split(data, residuals, float(residuals.sum()), LearnerSpec())
         assert got is not None and got[1] == 1
 
     def test_no_split_on_constant_residuals(self):
         rng = np.random.default_rng(1)
         data, _ = random_sparse(rng, 30, 4)
         spec = LearnerSpec()
-        assert _best_split(data, np.arange(30), np.full(30, 2.5), 75.0, spec) is None
+        assert root_split(data, np.full(30, 2.5), 75.0, spec) is None
 
 
 class TestTreeFitting:
@@ -188,6 +193,49 @@ class TestTreeFitting:
         residuals = rng.normal(size=60)
         tree, preds = _fit_tree(data, residuals, LearnerSpec(max_leaves=10))
         assert np.array_equal(preds, tree.predict(data))
+
+
+    def test_unseen_predictions_match_dense_walk(self):
+        rng = np.random.default_rng(19)
+        data, _ = random_sparse(rng, 80, 5)
+        fitted, _ = _fit_tree(data, rng.normal(size=80), LearnerSpec(max_leaves=12))
+        # thresholds below and at zero, on a feature the other split reuses
+        handmade = learners._Tree(
+            feature=[0, 1, 0, -1, -1, -1, -1],
+            threshold=[-0.5, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0],
+            left=[1, 3, 5, -1, -1, -1, -1],
+            right=[2, 4, 6, -1, -1, -1, -1],
+            value=[0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+        )
+        for tree in (fitted, handmade):
+            splits = tree.feature >= 0
+            dense = rng.normal(size=(300, 5))
+            # about 30% of each split feature's cells sit exactly on its threshold
+            for f, thr in zip(tree.feature[splits], tree.threshold[splits]):
+                dense[(rng.random(300) < 0.3), f] = thr
+            dense[rng.random((300, 5)) < 0.2] = 0.0  # explicitly stored zeros
+            stored = rng.random((300, 5)) >= 0.2  # the rest are implicit zeros
+            dense[~stored] = 0.0
+            rows, cols = np.nonzero(stored)
+            unseen = data_io.SparseDataset(
+                indptr=np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+                indices=cols,
+                values=dense[rows, cols],
+                labels=np.zeros(300, dtype=np.int64),
+                num_features=5,
+                num_classes=1,
+                label_names=("0",),
+            )
+            assert np.any(unseen.values == 0.0) and np.any(unseen.values < 0.0)
+            want = np.empty(300)
+            for i, x in enumerate(dense):
+                nid = 0
+                while tree.feature[nid] >= 0:
+                    go_left = x[tree.feature[nid]] <= tree.threshold[nid]
+                    nid = tree.left[nid] if go_left else tree.right[nid]
+                want[i] = tree.value[nid]
+            assert np.array_equal(tree.predict(unseen), want)
+        assert len(set(want)) == 4  # every leaf of the handmade tree is reached
 
 
 class TestEnsemble:

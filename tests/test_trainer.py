@@ -357,3 +357,15 @@ class TestModelBundle:
         trainer.save_history(model.history, path)
         again = trainer.load_history(path)
         assert again == model.history
+
+    def test_stalled_clock_history_reloads(self, tmp_path, small_blobs, monkeypatch):
+        # a clock that never advances still gives strictly increasing plain floats
+        monkeypatch.setattr(trainer.time, "perf_counter", lambda: 5.0)
+        train, test, _ = small_blobs
+        model = trainer.fit(train, test, quick_config(max_rounds=3))
+        trainer.save_model(model, tmp_path / "bundle")
+        again = trainer.load_model(tmp_path / "bundle")
+        assert again.history == model.history
+        times = [rec.wall_time for rec in again.history]
+        assert all(type(t) is float for t in times)
+        assert times == sorted(set(times)) and times[0] > 0.0
