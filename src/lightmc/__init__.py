@@ -32,7 +32,7 @@ from .softmax_decoder import (
     loss_gradients,
     train_decoding,
 )
-from .trainer import TrainConfig, TrainedModel, fit, fit_ova, predict
+from .trainer import TrainConfig, TrainedModel, fit, predict
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "codeword_distance",
     "decode",
     "fit",
-    "fit_ova",
     "hamming_decode",
     "init_from_matrix",
     "init_random",

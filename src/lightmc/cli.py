@@ -1,10 +1,14 @@
 """Command-line front end: train, evaluate, and compare.
 
-Option precedence is flags over config-file values over built-in defaults.
-Config files are flat `key=value` text using the flag names with
-underscores (plus a few extra keys: min_samples_leaf, epochs_per_round,
-matrix_batch, valid_fraction). Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+Every training option is one row of `_OPTIONS`: the flag `--name-with-dashes`
+and the config-file key `name_with_underscores` share the row's parser, and
+its default is the `TrainConfig` or `LearnerSpec` default of the field it
+sets (valid_fraction, which sets no field, defaults to VALID_FRACTION). The
+keys min_samples_leaf, epochs_per_round and matrix_batch have no flag.
+Option precedence is flags over config-file values over those defaults;
+`--threads` falls back to LIGHTMC_THREADS, then the core count. Config files
+are flat `key=value` text. Exit codes: 0 success, 1 runtime failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -12,107 +16,81 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import codebook, learners, trainer
+from . import codebook, trainer
 from .data_io import load_sparse_text, read_lines, stratified_split, write_csv
 from .errors import InvalidArg, LightMCError, ParseError
-from .learners import LearnerSpec
+from .learners import BOOSTED_TREES, LINEAR_SGD, LearnerSpec
 from .trainer import MODE_LIGHTMC, MODES, TrainConfig
 
 COMPARE_HEADER = ("mode", "round", "elapsed_seconds", "valid_error")
 DISTANCES_HEADER = ("round", "class_a", "class_b", "distance")
+VALID_FRACTION = 0.2  # held out of --data when no --valid file is given
 
-_DEFAULTS: dict[str, object] = {
-    "mode": MODE_LIGHTMC,
-    "code_length": "auto",
-    "rounds": 100,
-    "start_round": 30,
-    "alpha": 0.1,
-    "gamma1": 0.1,
-    "gamma2": 0.2,
-    "l2": 0.0,
-    "decoder_batch": 256,
-    "early_stop": 20,
-    "learner": "trees",
-    "max_leaves": 31,
-    "min_samples_leaf": 1,
-    "epochs_per_round": 1,
-    "matrix_batch": 0,
-    "threads": None,  # resolved from LIGHTMC_THREADS, then cpu count
-    "seed": 0,
-    "valid_fraction": 0.2,
+
+def _one_of(choices: dict[str, object]):
+    def parse(text: str) -> object:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"expected one of {', '.join(choices)}, got {text!r}"
+            )
+        return choices[text]
+
+    return parse
+
+
+def _code_length(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer, got {text!r}"
+        ) from None
+
+
+# option -> (field it sets, parser, help); a "learner." field belongs to the
+# LearnerSpec, and valid_fraction sets no field
+_OPTIONS = {
+    "mode": ("mode", _one_of({m: m for m in MODES}), "lightmc, ecoc_fixed or ova"),
+    "code_length": ("code_length", _code_length, "'auto' or a positive integer"),
+    "rounds": ("max_rounds", int, "training rounds, at most"),
+    "start_round": ("start_round", int, "first decoder and matrix update"),
+    "alpha": ("learner.learning_rate", float,
+              "base-learner learning rate / boosting shrinkage"),
+    "gamma1": ("gamma1", float, "decoder learning rate"),
+    "gamma2": ("gamma2", float, "matrix learning rate"),
+    "l2": ("l2", float, "decoder L2 penalty"),
+    "decoder_batch": ("decoder_batch", int, "decoder mini-batch size"),
+    "early_stop": ("early_stop_rounds", int, "rounds without improvement; 0 = off"),
+    "learner": ("learner.kind", _one_of({"trees": BOOSTED_TREES, "linear": LINEAR_SGD}),
+                "base learner: trees or linear"),
+    "max_leaves": ("learner.max_leaves", int, "leaves per tree"),
+    "min_samples_leaf": ("learner.min_samples_leaf", int, "rows per leaf, at least"),
+    "epochs_per_round": ("learner.epochs_per_round", int, "linear SGD epochs per round"),
+    "matrix_batch": ("matrix_batch", int, "matrix-step mini-batch; 0 = full batch"),
+    "threads": ("threads", int, "column threads"),
+    "seed": ("seed", int, "random seed"),
+    "valid_fraction": (None, float, "validation share of --data without --valid"),
 }
-
-_CONVERT = {
-    "mode": str,
-    "code_length": str,
-    "rounds": int,
-    "start_round": int,
-    "alpha": float,
-    "gamma1": float,
-    "gamma2": float,
-    "l2": float,
-    "decoder_batch": int,
-    "early_stop": int,
-    "learner": str,
-    "max_leaves": int,
-    "min_samples_leaf": int,
-    "epochs_per_round": int,
-    "matrix_batch": int,
-    "threads": int,
-    "seed": int,
-    "valid_fraction": float,
-}
+_FILE_ONLY = ("min_samples_leaf", "epochs_per_round", "matrix_batch")
 
 
-@dataclass
-class RunReport:
-    """One-line training summary printed by the train command."""
-
-    mode: str
-    final_test_error: float
-    convergence_seconds: float
-    rounds_run: int
-    history_path: str
-
-    def as_line(self) -> str:
-        return (
-            f"mode={self.mode} final_test_error={self.final_test_error:.4f} "
-            f"convergence_seconds={self.convergence_seconds:.3f} "
-            f"rounds_run={self.rounds_run} history={self.history_path}"
-        )
-
-
-def _add_shared_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--code-length", dest="code_length", default=None,
-                   help="'auto' or a positive integer")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--start-round", dest="start_round", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="base-learner learning rate / boosting shrinkage")
-    p.add_argument("--gamma1", type=float, default=None, help="decoder learning rate")
-    p.add_argument("--gamma2", type=float, default=None, help="matrix learning rate")
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--decoder-batch", dest="decoder_batch", type=int, default=None)
-    p.add_argument("--early-stop", dest="early_stop", type=int, default=None)
-    p.add_argument("--learner", choices=("trees", "linear"), default=None)
-    p.add_argument("--max-leaves", dest="max_leaves", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _add_data_options(p: argparse.ArgumentParser) -> None:
+def _add_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="training data (sparse text)")
     p.add_argument("--valid", default=None, help="validation data file")
-    p.add_argument("--valid-fraction", dest="valid_fraction", type=float, default=None)
     p.add_argument("--test", default=None, help="held-out test data file")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    for name, (_, parse, help_text) in _OPTIONS.items():
+        if name not in _FILE_ONLY:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                           default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one model and save a bundle")
-    _add_data_options(p_train)
-    _add_shared_options(p_train)
+    _add_options(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="print test error of a saved model")
@@ -133,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="run several modes on one dataset")
-    _add_data_options(p_cmp)
-    _add_shared_options(p_cmp)
+    _add_options(p_cmp)
     p_cmp.add_argument("--modes", nargs="*", default=[],
                        help="modes to run (e.g. lightmc ecoc_fixed ova)")
     p_cmp.add_argument("--pair", action="append", default=None, metavar="A,B",
@@ -151,11 +127,11 @@ def _read_config_file(path: str) -> dict[str, object]:
             continue
         key, sep, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if not sep or key not in _CONVERT:
+        if not sep or key not in _OPTIONS:
             raise ParseError(f"unknown config key {line!r}", line=line_no)
         try:
-            out[key] = _CONVERT[key](val.strip())
-        except ValueError:
+            out[key] = _OPTIONS[key][1](val.strip())
+        except (ValueError, argparse.ArgumentTypeError):
             raise ParseError(
                 f"bad value for {key!r}: {val.strip()!r}", line=line_no
             ) from None
@@ -163,14 +139,13 @@ def _read_config_file(path: str) -> dict[str, object]:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
-    opts = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        opts.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag_val = getattr(args, key, None)
+    """The options a flag or the config file sets, plus the threads fallback."""
+    opts = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in _OPTIONS:
+        flag_val = getattr(args, name, None)
         if flag_val is not None:
-            opts[key] = flag_val
-    if opts["threads"] is None:
+            opts[name] = flag_val
+    if "threads" not in opts:
         env = os.environ.get("LIGHTMC_THREADS")
         try:
             opts["threads"] = int(env) if env else (os.cpu_count() or 1)
@@ -180,40 +155,17 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _train_config(opts: dict[str, object]) -> TrainConfig:
-    kind = learners.BOOSTED_TREES if opts["learner"] == "trees" else learners.LINEAR_SGD
-    spec = LearnerSpec(
-        kind=kind,
-        learning_rate=float(opts["alpha"]),
-        max_leaves=int(opts["max_leaves"]),
-        min_samples_leaf=int(opts["min_samples_leaf"]),
-        epochs_per_round=int(opts["epochs_per_round"]),
-    )
-    raw_length = str(opts["code_length"])
-    if raw_length == "auto":
-        code_length: int | str = "auto"
-    else:
-        try:
-            code_length = int(raw_length)
-        except ValueError:
-            raise InvalidArg(f"bad code length {raw_length!r}") from None
-    return TrainConfig(
-        code_length=code_length,
-        max_rounds=int(opts["rounds"]),
-        start_round=int(opts["start_round"]),
-        learner=spec,
-        gamma1=float(opts["gamma1"]),
-        gamma2=float(opts["gamma2"]),
-        decoder_batch=int(opts["decoder_batch"]),
-        l2=float(opts["l2"]),
-        seed=int(opts["seed"]),
-        early_stop_rounds=int(opts["early_stop"]),
-        mode=str(opts["mode"]),
-        threads=int(opts["threads"]),
-        matrix_batch=int(opts["matrix_batch"]),
-    )
+    fields: dict[str, object] = {}
+    learner_fields: dict[str, object] = {}
+    for name, value in opts.items():
+        field = _OPTIONS[name][0]
+        if field is not None:
+            owner, _, field = field.rpartition(".")
+            (learner_fields if owner else fields)[field] = value
+    return TrainConfig(learner=LearnerSpec(**learner_fields), **fields)
 
 
-def _load_train_valid(args, opts):
+def _load_train_valid(args, opts, seed: int):
     data = load_sparse_text(args.data)
     if args.valid:
         valid = load_sparse_text(
@@ -222,13 +174,13 @@ def _load_train_valid(args, opts):
             num_features=data.num_features,
         )
         return data, valid
-    return stratified_split(data, float(opts["valid_fraction"]), int(opts["seed"]))
+    return stratified_split(data, opts.get("valid_fraction", VALID_FRACTION), seed)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _resolve_options(args)
     config = _train_config(opts)
-    train, valid = _load_train_valid(args, opts)
+    train, valid = _load_train_valid(args, opts, config.seed)
     model = trainer.fit(train, valid, config)
     out = Path(args.out)
     trainer.save_model(model, out)
@@ -239,14 +191,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         final_error = float(np.mean(trainer.predict(model, test) != test.labels))
     else:
         final_error = min(rec.valid_error for rec in model.history)
-    report = RunReport(
-        mode=model.mode,
-        final_test_error=final_error,
-        convergence_seconds=model.convergence_seconds,
-        rounds_run=len(model.history),
-        history_path=str(out / "history.csv"),
+    print(
+        f"mode={model.mode} final_test_error={final_error:.4f} "
+        f"convergence_seconds={model.convergence_seconds:.3f} "
+        f"rounds_run={len(model.history)} history={out / 'history.csv'}"
     )
-    print(report.as_line())
     return 0
 
 
@@ -281,8 +230,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"error: unknown mode {mode!r}", file=sys.stderr)
             return 2
     opts = _resolve_options(args)
+    base_config = _train_config(opts)
     pairs = [_parse_pair(text) for text in (args.pair or [])]
-    train, valid = _load_train_valid(args, opts)
+    train, valid = _load_train_valid(args, opts, base_config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_mode = MODE_LIGHTMC if MODE_LIGHTMC in args.modes else args.modes[0]
@@ -290,7 +240,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     merged_rows: list[tuple[str, int, float, float]] = []
     distance_rows: list[tuple[int, int, int, float]] = []
     for mode in args.modes:
-        config = replace(_train_config(opts), mode=mode)
+        config = replace(base_config, mode=mode)
 
         def hook(info: dict, _mode=mode) -> None:
             if _mode != trace_mode or not pairs:

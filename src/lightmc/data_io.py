@@ -84,11 +84,6 @@ class SparseDataset:
         counts = np.bincount(self.indices, minlength=self.num_features)
         return np.concatenate(([0], np.cumsum(counts))), rows, values
 
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.num_rows, self.num_features))
-        dense[self._row_ids, self.indices] = self.values
-        return dense
-
 
 def from_dense(
     features: np.ndarray,

@@ -11,8 +11,9 @@ returned.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -67,8 +68,6 @@ class TrainConfig:
     l2: float = 0.0
     seed: int = 0
     early_stop_rounds: int = 20
-    matrix_update: bool = True
-    decoder_update: bool = True
     mode: str = MODE_LIGHTMC
     threads: int = 1
     matrix_batch: int = 0  # 0 = full batch
@@ -97,16 +96,18 @@ class TrainConfig:
                 f"decoder_epochs_per_call must be >= 0, "
                 f"got {self.decoder_epochs_per_call}"
             )
+        for name in ("gamma1", "gamma2", "l2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)}")
         if self.l2 < 0:
             raise ConfigInvalid(f"l2 must be >= 0, got {self.l2}")
         if self.threads < 1:
             raise ConfigInvalid(f"threads must be >= 1, got {self.threads}")
         if self.matrix_batch < 0:
             raise ConfigInvalid(f"matrix_batch must be >= 0, got {self.matrix_batch}")
-        updating = self.mode == MODE_LIGHTMC
-        if updating and self.decoder_update and self.gamma1 <= 0:
+        if self.mode == MODE_LIGHTMC and self.gamma1 <= 0:
             raise ConfigInvalid(f"gamma1 must be > 0, got {self.gamma1}")
-        if updating and self.matrix_update and self.gamma2 <= 0:
+        if self.mode == MODE_LIGHTMC and self.gamma2 <= 0:
             raise ConfigInvalid(f"gamma2 must be > 0, got {self.gamma2}")
         try:
             self.learner.validate()
@@ -130,11 +131,20 @@ class TrainedModel:
     ensemble: BaseLearnerEnsemble
     history: list[RoundRecord]
     mode: str
-    num_features: int
-    num_classes: int
     label_names: tuple[str, ...]
     best_round: int
-    convergence_seconds: float
+
+    @property
+    def convergence_seconds(self) -> float:
+        return self.history[self.best_round - 1].wall_time
+
+    @property
+    def num_features(self) -> int:
+        return self.ensemble.num_features
+
+    @property
+    def num_classes(self) -> int:
+        return self.matrix.num_classes
 
 
 def update_rounds(config: TrainConfig, is_boosting: bool) -> list[int]:
@@ -199,14 +209,13 @@ def fit(
     ensemble = learners.new_ensemble(
         matrix.code_length, config.learner, data.num_features, config.seed
     )
-    updates_on = config.mode == MODE_LIGHTMC
     cadence = set(update_rounds(config, ensemble.is_boosting))
 
     o_train = np.zeros((data.num_rows, matrix.code_length))
     o_valid = np.zeros((validation.num_rows, matrix.code_length))
     history: list[RoundRecord] = []
     best_error = np.inf
-    best: tuple[CodingMatrix, DecoderParams, int, float] | None = None
+    best: tuple[CodingMatrix, DecoderParams, int] | None = None
     best_linear: list[tuple[np.ndarray, float]] = []
     stall = 0
     t_start = time.perf_counter()
@@ -216,22 +225,19 @@ def fit(
         learners.train_round(ensemble, data, matrix, o_train, threads=config.threads)
         learners.accumulate_round_outputs(ensemble, validation, o_valid)
 
-        updated = False
-        if updates_on and i in cadence:
-            if config.decoder_update:
-                decoder = softmax_decoder.train_decoding(
-                    decoder,
-                    o_train,
-                    labels,
-                    config.gamma1,
-                    batch_size=config.decoder_batch,
-                    epochs=config.decoder_epochs_per_call,
-                    l2=config.l2,
-                    seed=_decoder_seed(config.seed, i),
-                )
-            if config.matrix_update:
-                matrix = _matrix_step(matrix, decoder, o_train, labels, config)
-            updated = config.decoder_update or config.matrix_update
+        updated = config.mode == MODE_LIGHTMC and i in cadence
+        if updated:
+            decoder = softmax_decoder.train_decoding(
+                decoder,
+                o_train,
+                labels,
+                config.gamma1,
+                batch_size=config.decoder_batch,
+                epochs=config.decoder_epochs_per_call,
+                l2=config.l2,
+                seed=_decoder_seed(config.seed, i),
+            )
+            matrix = _matrix_step(matrix, decoder, o_train, labels, config)
 
         train_loss = softmax_decoder.mean_loss(decoder, o_train, labels)
         valid_error = _error_fraction(config.mode, decoder, o_valid, validation.labels)
@@ -254,7 +260,7 @@ def fit(
 
         if valid_error < best_error:
             best_error = valid_error
-            best = (matrix, decoder.copy(), i, elapsed)
+            best = (matrix, decoder.copy(), i)
             if not ensemble.is_boosting:
                 best_linear = [(m.weights.copy(), m.bias) for m in ensemble.members]
             stall = 0
@@ -264,7 +270,7 @@ def fit(
                 break
 
     assert best is not None
-    matrix, decoder, best_round, best_elapsed = best
+    matrix, decoder, best_round = best
     # boosting adds one tree per round, so the best round is a prefix
     ensemble.rounds_done = best_round
     if ensemble.is_boosting:
@@ -278,24 +284,9 @@ def fit(
         ensemble=ensemble,
         history=history,
         mode=config.mode,
-        num_features=data.num_features,
-        num_classes=data.num_classes,
         label_names=data.label_names,
         best_round=best_round,
-        convergence_seconds=best_elapsed,
     )
-
-
-def fit_ova(
-    data: SparseDataset,
-    validation: SparseDataset,
-    config: TrainConfig,
-    *,
-    round_hook: Callable[[dict], None] | None = None,
-) -> TrainedModel:
-    """One-versus-all baseline: fit() in mode "ova"."""
-    config = replace(config, mode=MODE_OVA)
-    return fit(data, validation, config, round_hook=round_hook)
 
 
 def _matrix_step(matrix, decoder, o_train, labels, config) -> CodingMatrix:
@@ -387,22 +378,30 @@ def load_model(model_dir) -> TrainedModel:
     ensemble = learners.load_ensemble(out / _FILES["ensemble"])
     history = load_history(out / _FILES["history"])
     label_names = load_label_map(out / _FILES["labels"])
+    found = {
+        "num_features": {ensemble.num_features},
+        "num_classes": {matrix.num_classes, decoder.num_classes, len(label_names)},
+        "code_length": {matrix.code_length, decoder.code_length, ensemble.code_length},
+    }
     try:
         mode, best_round = meta["mode"], int(meta["best_round"])
-        num_features, num_classes = int(meta["num_features"]), int(meta["num_classes"])
+        declared = {key: int(meta[key]) for key in found}
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{out / _META_NAME}: missing or bad field ({exc})") from None
     if mode not in MODES or not 1 <= best_round <= len(history):
         raise ParseError(f"{out}: bad mode {mode!r} or best_round {best_round}")
+    for key, sizes in found.items():
+        if sizes != {declared[key]}:
+            raise ParseError(
+                f"{out / _META_NAME}: {key}={declared[key]} does not match "
+                f"the bundle files ({', '.join(map(str, sorted(sizes)))})"
+            )
     return TrainedModel(
         matrix=matrix,
         decoder=decoder,
         ensemble=ensemble,
         history=history,
         mode=mode,
-        num_features=num_features,
-        num_classes=num_classes,
         label_names=label_names,
         best_round=best_round,
-        convergence_seconds=history[best_round - 1].wall_time,
     )

@@ -1,4 +1,6 @@
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,27 @@ class TestConfigFile:
                     "--out", str(tmp_path / "z"), "--config", str(config)])
         assert code == 1
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["learner=forest", "mode=bogus"])
+    def test_bad_choice_in_file_exits_one(self, line, blob_file, tmp_path, capsys):
+        # the file's values go through the same parsers as the flags'
+        train_path, _ = blob_file
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"rounds=2\n{line}\n")
+        out = tmp_path / "none"
+        code = run(["train", "--data", str(train_path), "--out", str(out),
+                    "--config", str(config)])
+        assert code == 1
+        assert repr(line.partition("=")[0]) in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_bad_learner_flag_exits_two(self, blob_file, tmp_path, capsys):
+        train_path, _ = blob_file
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", str(train_path), "--out", str(tmp_path / "y"),
+                 "--learner", "forest"])
+        assert exc.value.code == 2
+        assert "forest" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +315,35 @@ class TestBadInput:
         assert "LIGHTMC_THREADS" in assert_one_error_line(capsys)
 
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"num_features": "3"}, {"num_classes": "9", "code_length": "7"}],
+        ids=["features", "classes_and_code_length"],
+    )
+    def test_meta_sizes_must_match_the_bundle(
+        self, sizes, overfit_bundle, blob_file, tmp_path, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(overfit_bundle, bundle)
+        meta = bundle / "meta.txt"
+        meta.write_text("".join(
+            f"{key}={sizes.get(key, val)}\n"
+            for key, _, val in (ln.partition("=") for ln in meta.read_text().splitlines())
+        ))
+        train_path, _ = blob_file
+        assert run(["evaluate", str(bundle), str(train_path)]) == 1
+        assert "meta.txt" in assert_one_error_line(capsys)
+
+    def test_non_finite_gamma_writes_no_bundle(self, blob_file, tmp_path, capsys):
+        train_path, _ = blob_file
+        out = tmp_path / "nan"
+        code = run(["train", "--data", str(train_path), "--out", str(out),
+                    "--gamma1", "nan"] + FAST)
+        assert code == 1
+        assert "gamma1" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestCompare:
     def test_modes_csvs_and_distance_trace(self, blob_file, tmp_path, capsys):
         train_path, _ = blob_file
@@ -367,3 +419,11 @@ class TestParsing:
         args = argparse.Namespace(config=None)
         opts = cli._resolve_options(args)
         assert opts["threads"] == 3
+
+    def test_readme_synopsis_lists_the_train_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis = re.search(r"^lightmc train .*?\n\n", readme, re.M | re.S).group(0)
+        train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+        flags = {opt for opt in train._option_string_actions if opt.startswith("--")}
+        flags.discard("--help")
+        assert set(re.findall(r"--[a-z0-9-]+", synopsis)) == flags

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestConfig:
             TrainConfig(code_length=-3).validate()
         with pytest.raises(ConfigInvalid):
             TrainConfig(learner=LearnerSpec(max_leaves=0)).validate()
+        # NaN fails every ordered comparison, so `gamma1 <= 0` lets it through
+        for name, value in (("gamma1", np.nan), ("gamma2", np.nan), ("l2", np.inf),
+                            ("gamma1", np.inf), ("l2", np.nan)):
+            for mode in trainer.MODES:
+                with pytest.raises(ConfigInvalid, match=name):
+                    TrainConfig(mode=mode, **{name: value}).validate()
 
     def test_auto_code_length_uses_rule(self):
         cfg = TrainConfig(code_length="auto")
@@ -183,7 +191,7 @@ class TestFitOva:
     def test_member_count_and_prediction(self, small_blobs):
         train, test, _ = small_blobs
         cfg = quick_config(mode="ova")
-        model = trainer.fit_ova(train, test, cfg)
+        model = trainer.fit(train, test, cfg)
         assert model.ensemble.code_length == train.num_classes
         assert model.mode == "ova"
         # identity-like matrix: +1 diagonal, -1 elsewhere
@@ -194,7 +202,7 @@ class TestFitOva:
     def test_argmax_matches_softmax_decode_of_identity_matrix(self, small_blobs):
         train, test, _ = small_blobs
         cfg = quick_config(mode="ova", max_rounds=6)
-        model = trainer.fit_ova(train, test, cfg)
+        model = trainer.fit(train, test, cfg)
         outputs = learners.predict_all(model.ensemble, test)
         via_argmax = np.argmax(outputs, axis=1)
         via_decoder = sd.batch_predict(model.decoder, outputs)
@@ -210,7 +218,7 @@ class TestFitOva:
 
     def test_history_recorded_identically(self, small_blobs):
         train, test, _ = small_blobs
-        model = trainer.fit_ova(train, test, quick_config(mode="ova"))
+        model = trainer.fit(train, test, quick_config(mode="ova"))
         assert len(model.history) == 8
         assert all(np.isfinite(rec.train_loss) for rec in model.history)
 
@@ -289,7 +297,7 @@ class TestJointLoopBehaviour:
             seed=1,
         )
         light = trainer.fit(train, test, cfg)
-        ova = trainer.fit_ova(train, test, cfg)
+        ova = trainer.fit(train, test, replace(cfg, mode="ova"))
         assert ova.ensemble.code_length == 20
         assert light.ensemble.code_length == 10
         assert light.ensemble.code_length < ova.ensemble.code_length
