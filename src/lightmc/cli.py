@@ -74,7 +74,7 @@ _OPTIONS = {
     "min_samples_leaf": ("learner.min_samples_leaf", int, "rows per leaf, at least"),
     "epochs_per_round": ("learner.epochs_per_round", int, "linear SGD epochs per round"),
     "matrix_batch": ("matrix_batch", int, "matrix-step mini-batch; 0 = full batch"),
-    "threads": ("threads", int, "column threads"),
+    "threads": ("threads", int, "threads for tree columns; linear runs on one"),
     "seed": ("seed", int, "random seed"),
     "valid_fraction": (None, float, "validation share of --data without --valid"),
 }
@@ -272,8 +272,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LightMCError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LightMCError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -21,6 +21,9 @@ from .errors import (
     TooFewInstances,
 )
 
+MAX_FEATURE_INDEX = 2**31 - 1  # the 32-bit feature ids of LIBSVM-format readers
+
+
 @dataclass(frozen=True, eq=False)
 class SparseDataset:
     """Row-sparse feature matrix (CSR arrays) with dense integer labels.
@@ -126,9 +129,11 @@ def load_sparse_text(
     evaluation label spaces aligned); otherwise tokens are densified by
     first appearance. `num_features` acts as a lower bound on the feature
     count; indices at or beyond it raise ParseError so a model's feature
-    space is never silently exceeded.
+    space is never silently exceeded. A file index above MAX_FEATURE_INDEX
+    raises ParseError.
     """
     shift = 0 if zero_based else 1
+    top = MAX_FEATURE_INDEX - shift
     mapping: dict[str, int] = (
         {name: k for k, name in enumerate(label_names)} if label_names else {}
     )
@@ -163,10 +168,10 @@ def load_sparse_text(
                     raise ParseError(
                         f"malformed feature entry {item!r}", line=line_no
                     ) from None
-                if idx < 0:
+                if not 0 <= idx <= top:
                     raise ParseError(
-                        f"feature index {idx + shift} below the "
-                        f"{'0' if zero_based else '1'}-based minimum",
+                        f"feature index {idx + shift} outside "
+                        f"[{shift}, {MAX_FEATURE_INDEX}]",
                         line=line_no,
                     )
                 if idx <= prev:

@@ -4,7 +4,8 @@ Every code column j gets one learner trained against targets
 M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
 (exact greedy splits on sparse rows, one tree per outer round, predictions
 are the shrinkage-scaled sum of tree outputs) and a per-instance SGD linear
-model. Columns are independent and may be fitted in parallel.
+model. Columns are independent. Tree columns may be fitted on parallel
+threads; the linear learner updates all L columns per instance in one loop.
 
 Trees read a dataset only through its one (feature, value)-sorted entry
 view: growing partitions `sorted_entries` down the tree, predicting slices
@@ -265,78 +266,33 @@ def _fit_tree(data, residuals, spec):
 
 
 # ---------------------------------------------------------------------------
-# members
-
-
-class _TreesMember:
-    def __init__(self, spec: LearnerSpec):
-        self.spec = spec
-        self.trees: list[_Tree] = []
-
-    def fit_round(self, data, targets, output, epoch_orders) -> None:
-        tree, leaf_pred = _fit_tree(data, targets - output, self.spec)
-        self.trees.append(tree)
-        output += self.spec.learning_rate * leaf_pred
-
-    def predict(self, data) -> np.ndarray:
-        out = np.zeros(data.num_rows)
-        for tree in self.trees:
-            out += tree.predict(data)
-        return self.spec.learning_rate * out
-
-    def predict_stage(self, data, stage: int) -> np.ndarray:
-        return self.spec.learning_rate * self.trees[stage].predict(data)
-
-
-class _LinearMember:
-    def __init__(self, spec: LearnerSpec, num_features: int):
-        self.spec = spec
-        self.weights = np.zeros(num_features)
-        self.bias = 0.0
-
-    def fit_round(self, data, targets, output, epoch_orders) -> None:
-        lr = self.spec.learning_rate
-        w = self.weights
-        b = self.bias
-        for order in epoch_orders:
-            for i in order:
-                js, vs = data.row(i)
-                g = float(w[js] @ vs) + b - targets[i]
-                w[js] -= lr * g * vs
-                b -= lr * g
-        if not (np.isfinite(b) and np.all(np.isfinite(w))):
-            raise NonFiniteGradient(
-                "linear learner diverged; lower the learning rate"
-            )
-        self.bias = b
-        output[:] = self.predict(data)
-
-    def predict(self, data) -> np.ndarray:
-        contrib = self.weights[data.indices] * data.values
-        return (
-            np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
-            + self.bias
-        )
-
-
-# ---------------------------------------------------------------------------
 # ensemble
 
 
 @dataclass
 class BaseLearnerEnsemble:
-    """L independent column learners plus bookkeeping for reproducibility."""
+    """L independent column learners, all of one kind.
 
-    members: list
-    is_boosting: bool
+    Trees: `trees[j]` is column j's list of boosting stages. Linear:
+    column j predicts `values @ weights[j] + bias[j]`, with `weights` one
+    (L, F) array and `bias` one (L,) array.
+    """
+
     spec: LearnerSpec
     num_features: int
     seed: int
+    trees: list[list[_Tree]]
+    weights: np.ndarray | None = None
+    bias: np.ndarray | None = None
     rounds_done: int = 0
 
     @property
+    def is_boosting(self) -> bool:
+        return self.spec.kind == BOOSTED_TREES
+
+    @property
     def code_length(self) -> int:
-        return len(self.members)
+        return len(self.trees) if self.is_boosting else self.bias.shape[0]
 
 
 def new_ensemble(
@@ -347,17 +303,13 @@ def new_ensemble(
         raise InvalidArg(f"code length must be >= 1, got {code_length}")
     if num_features < 1:
         raise InvalidArg(f"num_features must be >= 1, got {num_features}")
-    if spec.kind == BOOSTED_TREES:
-        members = [_TreesMember(spec) for _ in range(code_length)]
+    ensemble = BaseLearnerEnsemble(spec, num_features, seed, trees=[])
+    if ensemble.is_boosting:
+        ensemble.trees = [[] for _ in range(code_length)]
     else:
-        members = [_LinearMember(spec, num_features) for _ in range(code_length)]
-    return BaseLearnerEnsemble(
-        members=members,
-        is_boosting=spec.kind == BOOSTED_TREES,
-        spec=spec,
-        num_features=num_features,
-        seed=seed,
-    )
+        ensemble.weights = np.zeros((code_length, num_features))
+        ensemble.bias = np.zeros(code_length)
+    return ensemble
 
 
 def make_targets(matrix: CodingMatrix, labels: np.ndarray, column: int) -> np.ndarray:
@@ -380,10 +332,11 @@ def train_round(
     """Train every column for one round against the current matrix.
 
     `outputs` (N, L) holds each column's prediction on `data` (zeros before
-    round one) and is updated in place: trees fit one new stage to the
-    residuals and add it, the linear learner runs its SGD epochs from its
-    current weights and rewrites its column. The per-epoch instance order
-    is shared across columns so permuting columns permutes outputs exactly.
+    round one) and is updated in place: trees fit one new stage per column
+    to the residuals and add it, the linear learner runs its SGD epochs
+    from its current weights and rewrites every column. Only tree columns
+    run on `threads` threads; the linear learner updates all L columns per
+    instance, so permuting columns permutes outputs exactly.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -398,22 +351,58 @@ def train_round(
             f"{ensemble.num_features}"
         )
     _check_buffer(ensemble, data, outputs)
-    epoch_orders: list[np.ndarray] = []
-    if not ensemble.is_boosting:
-        rng = np.random.default_rng([ensemble.seed, 7919, ensemble.rounds_done])
-        epochs = ensemble.spec.epochs_per_round
-        epoch_orders = [rng.permutation(data.num_rows) for _ in range(epochs)]
-    else:
+    targets = np.column_stack(
+        [make_targets(matrix, data.labels, j) for j in range(matrix.code_length)]
+    )
+    if ensemble.is_boosting:
+        lr = ensemble.spec.learning_rate
         data.sorted_entries  # build the shared sorted view outside worker threads
 
-    def fit_column(j: int) -> None:  # writes only column j of `outputs`
-        ensemble.members[j].fit_round(
-            data, make_targets(matrix, data.labels, j), outputs[:, j], epoch_orders
-        )
+        def fit_column(j: int) -> None:  # writes only column j of `outputs`
+            tree, leaf_pred = _fit_tree(
+                data, targets[:, j] - outputs[:, j], ensemble.spec
+            )
+            ensemble.trees[j].append(tree)
+            outputs[:, j] += lr * leaf_pred
 
-    _run_columns(fit_column, ensemble.code_length, threads)
+        _run_columns(fit_column, ensemble.code_length, threads)
+    else:
+        _fit_linear(ensemble, data, targets)
+        _linear_outputs(ensemble, data, outputs)
     ensemble.rounds_done += 1
     return ensemble
+
+
+def _fit_linear(ensemble, data, targets) -> None:
+    """One round of per-instance SGD on the squared loss, all columns at once.
+
+    The epoch orders come from (seed, rounds_done). Each column's gradient
+    is one dot product over a C-contiguous copy of its weights at the row's
+    features, the same arithmetic a single column's `w[js] @ vs` does.
+    """
+    rng = np.random.default_rng([ensemble.seed, 7919, ensemble.rounds_done])
+    lr = ensemble.spec.learning_rate
+    w, b = ensemble.weights, ensemble.bias
+    # divergence is reported once, below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(ensemble.spec.epochs_per_round):
+            for i in rng.permutation(data.num_rows):
+                js, vs = data.row(i)
+                g = np.vecdot(np.ascontiguousarray(w[:, js]), vs) + b - targets[i]
+                w[:, js] -= (lr * g)[:, None] * vs
+                b -= lr * g
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(w))):
+        raise NonFiniteGradient("linear learner diverged; lower the learning rate")
+
+
+def _linear_outputs(ensemble, data, out) -> None:
+    """Write every linear column's prediction on `data` into `out` (N, L)."""
+    for j, w in enumerate(ensemble.weights):
+        contrib = w[data.indices] * data.values
+        out[:, j] = (
+            np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
+            + ensemble.bias[j]
+        )
 
 
 def predict_all(
@@ -426,11 +415,14 @@ def predict_all(
             f"{ensemble.num_features}"
         )
     out = np.zeros((data.num_rows, ensemble.code_length))
-    if ensemble.is_boosting:
-        data.columns  # build the shared view outside worker threads
+    if not ensemble.is_boosting:
+        _linear_outputs(ensemble, data, out)
+        return out
+    data.columns  # build the shared view outside worker threads
 
     def predict_column(j: int) -> None:
-        out[:, j] = ensemble.members[j].predict(data)
+        stages = sum(tree.predict(data) for tree in ensemble.trees[j])
+        out[:, j] = ensemble.spec.learning_rate * stages
 
     _run_columns(predict_column, ensemble.code_length, threads)
     return out
@@ -442,14 +434,14 @@ def accumulate_round_outputs(
     """Refresh an output buffer after one train_round.
 
     Boosting adds only the newest stage; the linear learner recomputes its
-    column. The buffer must have been kept current since round zero.
+    columns. The buffer must have been kept current since round zero.
     """
     _check_buffer(ensemble, data, buffer)
-    for j, member in enumerate(ensemble.members):
-        if ensemble.is_boosting:
-            buffer[:, j] += member.predict_stage(data, -1)
-        else:
-            buffer[:, j] = member.predict(data)
+    if not ensemble.is_boosting:
+        _linear_outputs(ensemble, data, buffer)
+        return
+    for j, trees in enumerate(ensemble.trees):
+        buffer[:, j] += ensemble.spec.learning_rate * trees[-1].predict(data)
 
 
 def _check_buffer(ensemble, data, buffer) -> None:
@@ -477,16 +469,16 @@ def save_ensemble(ensemble: BaseLearnerEnsemble, path) -> None:
     """Versioned text dump; trees are listed in pre-order."""
     spec = ensemble.spec
     lines = [f"alpha {spec.learning_rate!r}", f"features {ensemble.num_features}"]
-    for j, member in enumerate(ensemble.members):
-        if isinstance(member, _TreesMember):
-            lines.append(f"member {j} {len(member.trees)}")
-            for t, tree in enumerate(member.trees):
+    for j in range(ensemble.code_length):
+        if ensemble.is_boosting:
+            lines.append(f"member {j} {len(ensemble.trees[j])}")
+            for t, tree in enumerate(ensemble.trees[j]):
                 _dump_tree(tree, t, lines)
         else:
             lines.append(f"member {j}")
-            weights = " ".join(repr(float(w)) for w in member.weights)
-            lines.append(f"weights {member.weights.shape[0]} {weights}".rstrip())
-            lines.append(f"bias {float(member.bias)!r}")
+            weights = " ".join(repr(float(w)) for w in ensemble.weights[j])
+            lines.append(f"weights {ensemble.num_features} {weights}".rstrip())
+            lines.append(f"bias {float(ensemble.bias[j])!r}")
     write_versioned(path, _HEADER, (ensemble.code_length, spec.kind), lines)
 
 
@@ -532,19 +524,19 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
             if parts[0] != "member" or int(parts[1]) != j:
                 raise ParseError(f"{path}: expected member {j}", line=pos + 2)
             pos += 1
-            member = ensemble.members[j]
             if kind == BOOSTED_TREES:
                 for _ in range(int(parts[2])):
                     tree, pos = _parse_tree(body, pos, path, num_features)
-                    member.trees.append(tree)
+                    ensemble.trees[j].append(tree)
             else:
                 wparts = body[pos].split()
-                member.weights = np.array([float(x) for x in wparts[2:]])
-                member.bias = float(body[pos + 1].split()[1])
-                if not int(wparts[1]) == member.weights.shape[0] == num_features:
+                weights = np.array([float(x) for x in wparts[2:]])
+                if not int(wparts[1]) == weights.shape[0] == num_features:
                     raise ParseError(
                         f"{path}: expected {num_features} weights", line=pos + 2
                     )
+                ensemble.weights[j] = weights
+                ensemble.bias[j] = float(body[pos + 1].split()[1])
                 pos += 2
     except ParseError:
         raise

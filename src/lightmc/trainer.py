@@ -216,7 +216,7 @@ def fit(
     history: list[RoundRecord] = []
     best_error = np.inf
     best: tuple[CodingMatrix, DecoderParams, int] | None = None
-    best_linear: list[tuple[np.ndarray, float]] = []
+    best_linear: tuple[np.ndarray, np.ndarray] | None = None
     stall = 0
     t_start = time.perf_counter()
     prev_elapsed = 0.0
@@ -262,7 +262,7 @@ def fit(
             best_error = valid_error
             best = (matrix, decoder.copy(), i)
             if not ensemble.is_boosting:
-                best_linear = [(m.weights.copy(), m.bias) for m in ensemble.members]
+                best_linear = (ensemble.weights.copy(), ensemble.bias.copy())
             stall = 0
         else:
             stall += 1
@@ -274,10 +274,10 @@ def fit(
     # boosting adds one tree per round, so the best round is a prefix
     ensemble.rounds_done = best_round
     if ensemble.is_boosting:
-        for member in ensemble.members:
-            del member.trees[best_round:]
-    for member, (weights, bias) in zip(ensemble.members, best_linear):
-        member.weights, member.bias = weights, bias
+        for trees in ensemble.trees:
+            del trees[best_round:]
+    else:
+        ensemble.weights, ensemble.bias = best_linear
     return TrainedModel(
         matrix=matrix,
         decoder=decoder,

@@ -1,5 +1,8 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +336,51 @@ class TestBadInput:
         train_path, _ = blob_file
         assert run(["evaluate", str(bundle), str(train_path)]) == 1
         assert "meta.txt" in assert_one_error_line(capsys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_linear_learner_warns_nothing(self, tmp_path, capsys):
+        train, _, _ = synthetic.make_paired_blobs(
+            num_pairs=4, train_per_class=40, test_per_class=5, num_features=8, seed=2
+        )
+        path = tmp_path / "blobs8.txt"
+        data_io.save_sparse_text(train, path)
+        code = run(["train", "--data", str(path), "--out", str(tmp_path / "m"),
+                    "--learner", "linear", "--alpha", "0.5", "--rounds", "3",
+                    "--seed", "1", "--threads", "1"])
+        assert code == 1
+        assert "diverged" in assert_one_error_line(capsys)
+
+    def test_huge_feature_index_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("".join(f"{i % 3} 1:0.5 {10**12}:1.0\n" for i in range(30)))
+        code = run(["train", "--data", str(path), "--out", str(tmp_path / "m")] + FAST)
+        assert code == 1
+        assert "line 1" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("learner", ["trees", "linear"])
+    def test_feature_space_beyond_memory_exits_one(self, learner, tmp_path):
+        # the largest feature space the parser accepts needs tens of GiB; a
+        # 3 GiB address-space cap makes that allocation fail without using it
+        path = tmp_path / "wide.txt"
+        index = data_io.MAX_FEATURE_INDEX - 1
+        path.write_text("".join(f"{i % 3} 1:0.5 {index}:1.0\n" for i in range(30)))
+        cap = 3 << 30
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from lightmc import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train", "--data", str(path),
+             "--out", str(tmp_path / "m"), "--learner", learner] + FAST,
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "allocate" in proc.stderr
 
     def test_non_finite_gamma_writes_no_bundle(self, blob_file, tmp_path, capsys):
         train_path, _ = blob_file

@@ -68,6 +68,14 @@ class TestLoadSparseText:
         with pytest.raises(ParseError):
             data_io.load_sparse_text(path)
 
+    def test_index_beyond_32_bits_rejected(self, tmp_path):
+        top = data_io.MAX_FEATURE_INDEX
+        widest = data_io.load_sparse_text(write(tmp_path, f"1 {top}:2.0\n"))
+        assert widest.num_features == top
+        path = write(tmp_path, f"1 1:1.0\n1 {top + 1}:2.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            data_io.load_sparse_text(path)
+
     def test_num_features_floor_and_ceiling(self, tmp_path):
         path = write(tmp_path, "1 1:2.0\n2 2:1.0\n")
         data = data_io.load_sparse_text(path, num_features=10)

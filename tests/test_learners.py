@@ -162,7 +162,7 @@ class TestTreeFitting:
         outputs = learners.predict_all(ensemble, data)
         np.testing.assert_allclose(outputs, 0.1 * 0.7, rtol=1e-12)
         # a constant fit needs no split
-        assert len(ensemble.members[0].trees[0].value) == 1
+        assert len(ensemble.trees[0][0].value) == 1
 
     def test_two_rounds_do_not_raise_mse(self):
         rng = np.random.default_rng(5)
@@ -282,8 +282,8 @@ class TestEnsemble:
         for _ in range(4):
             learners.train_round(ensemble, data, m, outputs)
         total = learners.predict_all(ensemble, data)
-        member = ensemble.members[0]
-        increments = sum(member.predict_stage(data, t) for t in range(4))
+        lr = ensemble.spec.learning_rate
+        increments = sum(lr * tree.predict(data) for tree in ensemble.trees[0])
         np.testing.assert_allclose(total[:, 0], increments, atol=1e-12)
 
     def test_outputs_buffer_is_the_running_prediction(self):
@@ -299,10 +299,43 @@ class TestEnsemble:
         for rounds in range(1, 5):
             learners.train_round(trees, data, m, buf_trees)
             learners.train_round(linear, data, m, buf_linear)
-            for j, member in enumerate(trees.members):
-                stages = sum(member.predict_stage(data, t) for t in range(rounds))
+            for j, column in enumerate(trees.trees):
+                stages = sum(0.1 * tree.predict(data) for tree in column)
                 assert np.array_equal(buf_trees[:, j], stages)
             assert np.array_equal(buf_linear, learners.predict_all(linear, data))
+
+    def test_linear_matches_one_sgd_loop_per_column(self):
+        # exact oracle: each column run alone, as its own per-instance loop
+        rng = np.random.default_rng(17)
+        dense = rng.normal(size=(60, 40))
+        dense[rng.random((60, 40)) < 0.3] = 0.0
+        dense[5] = 0.0  # a row with no stored entries
+        labels = rng.integers(0, 4, size=60)
+        labels[:4] = np.arange(4)
+        data = data_io.from_dense(dense, labels)
+        assert np.any(data.values < 0) and data.row(5)[0].size == 0
+        m = codebook.init_random(4, 5, seed=3)
+        lr, epochs, seed = 0.02, 2, 11
+        spec = LearnerSpec(kind=LINEAR_SGD, learning_rate=lr, epochs_per_round=epochs)
+        ensemble = learners.new_ensemble(5, spec, data.num_features, seed=seed)
+        outputs = np.zeros((60, 5))
+        weights, bias = np.zeros((5, 40)), np.zeros(5)
+        for round_index in range(3):
+            learners.train_round(ensemble, data, m, outputs)
+            order_rng = np.random.default_rng([seed, 7919, round_index])
+            orders = [order_rng.permutation(60) for _ in range(epochs)]
+            for j in range(5):
+                targets = learners.make_targets(m, data.labels, j)
+                w, b = weights[j], float(bias[j])
+                for order in orders:
+                    for i in order:
+                        js, vs = data.row(i)
+                        g = float(w[js] @ vs) + b - targets[i]
+                        w[js] -= lr * g * vs
+                        b -= lr * g
+                bias[j] = b
+        assert np.array_equal(ensemble.weights, weights)
+        assert np.array_equal(ensemble.bias, bias)
 
     def test_column_permutation_permutes_outputs(self):
         rng = np.random.default_rng(6)

@@ -358,6 +358,26 @@ class TestModelBundle:
             trainer.predict(again, test), trainer.predict(model, test)
         )
 
+    @pytest.mark.parametrize(
+        "learner",
+        [LearnerSpec(learning_rate=0.5, max_leaves=6),
+         LearnerSpec(kind=LINEAR_SGD, learning_rate=0.002, epochs_per_round=2)],
+        ids=["trees", "linear_sgd"],
+    )
+    def test_bundle_bytes_do_not_depend_on_threads(self, tmp_path, small_blobs, learner):
+        train, test, _ = small_blobs
+        for threads in (1, 2):
+            model = trainer.fit(
+                train, test, quick_config(max_rounds=4, learner=learner, threads=threads)
+            )
+            trainer.save_model(model, tmp_path / str(threads))
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            if name != "history.csv":
+                one = (tmp_path / "1" / name).read_bytes()
+                assert one == (tmp_path / "2" / name).read_bytes(), name
+
     def test_history_csv_round_trip(self, tmp_path, small_blobs):
         train, test, _ = small_blobs
         model = trainer.fit(train, test, quick_config())
