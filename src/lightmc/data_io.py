@@ -29,7 +29,8 @@ class SparseDataset:
     """Row-sparse feature matrix (CSR arrays) with dense integer labels.
 
     Immutable after construction; per-row feature indices are strictly
-    increasing. `label_names[k]` is the original token of dense class k.
+    increasing. `label_names[k]` is the original token of dense class k,
+    which the text formats hold only if it is a nonblank token not led by '#'.
     Trees read the entries through one cached copy sorted by (feature,
     value): `sorted_entries`, and `columns`, its per-feature offsets.
     """
@@ -50,6 +51,11 @@ class SparseDataset:
         vals = np.asarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        for name in self.label_names:  # the text formats split on whitespace
+            if name.split() != [name] or name.startswith("#"):
+                raise InvalidArg(
+                    f"label name {name!r} must be one token not starting with '#'"
+                )
 
     @property
     def num_rows(self) -> int:

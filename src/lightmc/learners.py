@@ -5,7 +5,9 @@ M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
 (exact greedy splits on sparse rows, one tree per outer round, predictions
 are the shrinkage-scaled sum of tree outputs) and a per-instance SGD linear
 model. Columns are independent. Tree columns may be fitted on parallel
-threads; the linear learner updates all L columns per instance in one loop.
+threads, which only grow trees; the linear learner updates all L columns
+per instance in one loop. Every output buffer, the training one too, is
+then refreshed by `accumulate_round_outputs`: one running sum of stages.
 
 Trees read a dataset only through its one (feature, value)-sorted entry
 view: growing partitions `sorted_entries` down the tree, predicting slices
@@ -14,7 +16,8 @@ view: growing partitions `sorted_entries` down the tree, predicting slices
 
 from __future__ import annotations
 
-import itertools
+import heapq
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -199,70 +202,37 @@ def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     return float(gain[best]), int(gf[cand[best]]), float(thr)
 
 
-def _fit_tree(data, residuals, spec):
+def _fit_tree(data, residuals, spec) -> _Tree:
     """Grow one least-squares tree best-first under the leaf cap.
 
-    Returns (tree, per-row training predictions).
+    The heap holds every leaf that has a split: (-gain, node id, feature,
+    threshold, the leaf's rows, its entries). Node ids rise in the order
+    leaves are searched, so equal gains split the earlier leaf first.
     """
-    n = data.num_rows
     sf, sv, srow = data.sorted_entries
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [float(residuals.mean())]
-    leaf_rows: dict[int, np.ndarray] = {0: np.arange(n)}
-    leaf_ents: dict[int, np.ndarray] = {0: np.arange(sf.shape[0])}
-    side_full = np.empty(n, dtype=bool)
-    counter = itertools.count()
-    candidates: list[tuple[float, int, int, int, float]] = []
+    nodes: list[list] = []  # per node: feature, threshold, left, right, value
+    side_full = np.empty(data.num_rows, dtype=bool)
+    heap: list[tuple] = []
 
-    def consider(node_id: int) -> None:
-        rows_n = leaf_rows[node_id]
-        split = _best_split(
-            sf, sv, srow, leaf_ents[node_id], rows_n, residuals,
-            float(residuals[rows_n].sum()), spec,
-        )
+    def add_leaf(rows: np.ndarray, ents: np.ndarray) -> None:
+        node_id = len(nodes)
+        total = float(residuals[rows].sum())
+        nodes.append([-1, 0.0, -1, -1, total / rows.size])
+        split = _best_split(sf, sv, srow, ents, rows, residuals, total, spec)
         if split is not None:
             gain, feat, thr = split
-            candidates.append((gain, next(counter), node_id, feat, thr))
+            heapq.heappush(heap, (-gain, node_id, feat, thr, rows, ents))
 
-    consider(0)
-    leaves = 1
-    while leaves < spec.max_leaves and candidates:
-        best_i = min(
-            range(len(candidates)), key=lambda i: (-candidates[i][0], candidates[i][1])
-        )
-        _, _, node_id, feat, thr = candidates.pop(best_i)
-        rows_n = leaf_rows.pop(node_id)
-        ents_n = leaf_ents.pop(node_id)
-        split_ents = ents_n[sf[ents_n] == feat]
-        side = _go_left(rows_n, srow[split_ents], sv[split_ents], thr, side_full)
-        rows_l, rows_r = rows_n[side], rows_n[~side]
-        ent_side = side_full[srow[ents_n]]
-        lid, rid = len(feature), len(feature) + 1
-        for child_rows in (rows_l, rows_r):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(float(residuals[child_rows].mean()))
-        feature[node_id] = feat
-        threshold[node_id] = thr
-        left[node_id] = lid
-        right[node_id] = rid
-        leaf_rows[lid] = rows_l
-        leaf_rows[rid] = rows_r
-        leaf_ents[lid] = ents_n[ent_side]
-        leaf_ents[rid] = ents_n[~ent_side]
-        consider(lid)
-        consider(rid)
-        leaves += 1
-
-    preds = np.empty(n)
-    for nid, rws in leaf_rows.items():
-        preds[rws] = value[nid]
-    return _Tree(feature, threshold, left, right, value), preds
+    add_leaf(np.arange(data.num_rows), np.arange(sf.shape[0]))
+    while heap and len(nodes) < 2 * spec.max_leaves - 1:  # L leaves are 2L - 1 nodes
+        _, node_id, feat, thr, rows, ents = heapq.heappop(heap)
+        split_ents = ents[sf[ents] == feat]
+        side = _go_left(rows, srow[split_ents], sv[split_ents], thr, side_full)
+        ent_side = side_full[srow[ents]]
+        nodes[node_id][:4] = feat, thr, len(nodes), len(nodes) + 1
+        add_leaf(rows[side], ents[ent_side])
+        add_leaf(rows[~side], ents[~ent_side])
+    return _Tree(*zip(*nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +302,12 @@ def train_round(
     """Train every column for one round against the current matrix.
 
     `outputs` (N, L) holds each column's prediction on `data` (zeros before
-    round one) and is updated in place: trees fit one new stage per column
-    to the residuals and add it, the linear learner runs its SGD epochs
-    from its current weights and rewrites every column. Only tree columns
-    run on `threads` threads; the linear learner updates all L columns per
-    instance, so permuting columns permutes outputs exactly.
+    round one): trees fit one new stage per column to the residuals, the
+    linear learner runs its SGD epochs from its current weights. Then
+    `accumulate_round_outputs` brings `outputs` up to date. Only tree
+    fitting runs on `threads` threads, and those threads write no buffer;
+    the linear learner updates all L columns per instance, so permuting
+    columns permutes outputs exactly.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -345,30 +316,26 @@ def train_round(
             f"matrix has {matrix.code_length} columns, ensemble has "
             f"{ensemble.code_length}"
         )
-    if data.num_features != ensemble.num_features:
-        raise DimensionMismatch(
-            f"data has {data.num_features} features, ensemble expects "
-            f"{ensemble.num_features}"
-        )
-    _check_buffer(ensemble, data, outputs)
+    _check_data(ensemble, data, outputs)
     targets = np.column_stack(
         [make_targets(matrix, data.labels, j) for j in range(matrix.code_length)]
     )
     if ensemble.is_boosting:
-        lr = ensemble.spec.learning_rate
         data.sorted_entries  # build the shared sorted view outside worker threads
 
-        def fit_column(j: int) -> None:  # writes only column j of `outputs`
-            tree, leaf_pred = _fit_tree(
-                data, targets[:, j] - outputs[:, j], ensemble.spec
-            )
-            ensemble.trees[j].append(tree)
-            outputs[:, j] += lr * leaf_pred
+        def fit_column(j: int) -> None:
+            residuals = targets[:, j] - outputs[:, j]
+            ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec))
 
-        _run_columns(fit_column, ensemble.code_length, threads)
+        columns = range(ensemble.code_length)
+        if threads > 1 and len(columns) > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, len(columns))) as pool:
+                list(pool.map(fit_column, columns))
+        else:  # on the calling thread, where profilers look
+            list(map(fit_column, columns))
     else:
         _fit_linear(ensemble, data, targets)
-        _linear_outputs(ensemble, data, outputs)
+    accumulate_round_outputs(ensemble, data, outputs)
     ensemble.rounds_done += 1
     return ensemble
 
@@ -395,36 +362,11 @@ def _fit_linear(ensemble, data, targets) -> None:
         raise NonFiniteGradient("linear learner diverged; lower the learning rate")
 
 
-def _linear_outputs(ensemble, data, out) -> None:
-    """Write every linear column's prediction on `data` into `out` (N, L)."""
-    for j, w in enumerate(ensemble.weights):
-        contrib = w[data.indices] * data.values
-        out[:, j] = (
-            np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
-            + ensemble.bias[j]
-        )
-
-
-def predict_all(
-    ensemble: BaseLearnerEnsemble, data: SparseDataset, threads: int = 1
-) -> np.ndarray:
-    """Outputs of every column on every instance, shape (N, L)."""
-    if data.num_features != ensemble.num_features:
-        raise DimensionMismatch(
-            f"data has {data.num_features} features, ensemble expects "
-            f"{ensemble.num_features}"
-        )
+def predict_all(ensemble: BaseLearnerEnsemble, data: SparseDataset) -> np.ndarray:
+    """Outputs of every column on every instance, shape (N, L): the running
+    sum that `accumulate_round_outputs` keeps, stage by stage."""
     out = np.zeros((data.num_rows, ensemble.code_length))
-    if not ensemble.is_boosting:
-        _linear_outputs(ensemble, data, out)
-        return out
-    data.columns  # build the shared view outside worker threads
-
-    def predict_column(j: int) -> None:
-        stages = sum(tree.predict(data) for tree in ensemble.trees[j])
-        out[:, j] = ensemble.spec.learning_rate * stages
-
-    _run_columns(predict_column, ensemble.code_length, threads)
+    _add_outputs(ensemble, data, out, slice(None))
     return out
 
 
@@ -435,30 +377,39 @@ def accumulate_round_outputs(
 
     Boosting adds only the newest stage; the linear learner recomputes its
     columns. The buffer must have been kept current since round zero.
+    `train_round` refreshes its training buffer here once its column
+    threads have finished.
     """
-    _check_buffer(ensemble, data, buffer)
-    if not ensemble.is_boosting:
-        _linear_outputs(ensemble, data, buffer)
+    _add_outputs(ensemble, data, buffer, slice(-1, None))
+
+
+def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
+    """Add boosting `stages` of every column to `buffer`, or write linear outputs."""
+    _check_data(ensemble, data, buffer)
+    if ensemble.is_boosting:
+        for j, trees in enumerate(ensemble.trees):
+            for tree in trees[stages]:
+                buffer[:, j] += ensemble.spec.learning_rate * tree.predict(data)
         return
-    for j, trees in enumerate(ensemble.trees):
-        buffer[:, j] += ensemble.spec.learning_rate * trees[-1].predict(data)
+    for j, w in enumerate(ensemble.weights):
+        contrib = w[data.indices] * data.values
+        buffer[:, j] = (
+            np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
+            + ensemble.bias[j]
+        )
 
 
-def _check_buffer(ensemble, data, buffer) -> None:
+def _check_data(ensemble, data, buffer) -> None:
+    if data.num_features != ensemble.num_features:
+        raise DimensionMismatch(
+            f"data has {data.num_features} features, ensemble expects "
+            f"{ensemble.num_features}"
+        )
     if buffer.shape != (data.num_rows, ensemble.code_length):
         raise DimensionMismatch(
             f"buffer shape {buffer.shape}, expected "
             f"({data.num_rows}, {ensemble.code_length})"
         )
-
-
-def _run_columns(job, code_length: int, threads: int) -> None:
-    if threads > 1 and code_length > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, code_length)) as pool:
-            list(pool.map(job, range(code_length)))
-    else:
-        for j in range(code_length):
-            job(j)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +465,8 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
         num_features = int(body[1].split()[1])
     except (IndexError, ValueError):
         raise ParseError(f"{path}: bad ensemble property lines") from None
+    if not 0.0 < alpha <= 1.0:
+        raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
     _check_dimensions(path, body, code_length, kind, num_features)
     spec = LearnerSpec(kind=kind, learning_rate=alpha)
     ensemble = new_ensemble(code_length, spec, num_features)
@@ -531,12 +484,15 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
             else:
                 wparts = body[pos].split()
                 weights = np.array([float(x) for x in wparts[2:]])
-                if not int(wparts[1]) == weights.shape[0] == num_features:
+                sized = int(wparts[1]) == weights.shape[0] == num_features
+                if not (sized and np.isfinite(weights).all()):
                     raise ParseError(
-                        f"{path}: expected {num_features} weights", line=pos + 2
+                        f"{path}: expected {num_features} finite weights", line=pos + 2
                     )
                 ensemble.weights[j] = weights
                 ensemble.bias[j] = float(body[pos + 1].split()[1])
+                if not math.isfinite(ensemble.bias[j]):
+                    raise ParseError(f"{path}: non-finite bias", line=pos + 3)
                 pos += 2
     except ParseError:
         raise
@@ -574,11 +530,14 @@ def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:
     for nid in range(n_nodes):
         fields = body[pos + 1 + nid].split()
         feature, left, right = int(fields[1]), int(fields[3]), int(fields[4])
+        threshold, value = float(fields[2]), float(fields[5])
         children_later = nid < left < n_nodes and nid < right < n_nodes
         is_split = 0 <= feature < num_features and children_later
-        if int(fields[0]) != nid or not (feature == -1 or is_split):
+        finite = math.isfinite(threshold) and math.isfinite(value)
+        if int(fields[0]) != nid or not (feature == -1 or is_split) or not finite:
             raise ParseError(
-                f"{path}: node {nid} out of order or range", line=pos + nid + 3
+                f"{path}: node {nid} out of order or range, or not finite",
+                line=pos + nid + 3,
             )
-        nodes.append((feature, float(fields[2]), left, right, float(fields[5])))
+        nodes.append((feature, threshold, left, right, value))
     return _Tree(*zip(*nodes)), pos + 1 + n_nodes

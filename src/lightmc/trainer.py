@@ -315,11 +315,6 @@ def _error_fraction(mode, decoder, outputs, labels) -> float:
 
 def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
     """Predicted dense class index per instance."""
-    if data.num_features != model.num_features:
-        raise DimensionMismatch(
-            f"data has {data.num_features} features, model expects "
-            f"{model.num_features}"
-        )
     outputs = learners.predict_all(model.ensemble, data)
     return _decode(model.mode, model.decoder, outputs)
 

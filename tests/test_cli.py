@@ -226,8 +226,8 @@ def _set_best_round(lines, value):
         lines.append(f"best_round={value}")
 
 
-def _set_history_row(lines, row):
-    lines[1] = row
+def _set_line(lines, index, text):
+    lines[index] = text
 
 
 def _set_root_field(lines, field, value):
@@ -238,14 +238,36 @@ def _set_root_field(lines, field, value):
     lines[root] = " ".join(fields)
 
 
+def _set_first_leaf_value(lines, value):
+    leaf = next(i for i, ln in enumerate(lines) if ln.split()[1:2] == ["-1"])
+    lines[leaf] = " ".join(lines[leaf].split()[:5] + [value])
+
+
+def _as_linear_with_first_weight(lines, weight):
+    """Swap in a linear ensemble of the same shape whose first weight is `weight`."""
+    code_length, features = int(lines[0].split()[2]), int(lines[2].split()[1])
+    lines[:] = [f"lightmc-ensemble v1 {code_length} linear_sgd", "alpha 0.1",
+                f"features {features}"]
+    for j in range(code_length):
+        weights = [weight] + ["0.5"] * (features - 1) if j == 0 else ["0.5"] * features
+        lines += [f"member {j}", f"weights {features} {' '.join(weights)}", "bias 0.0"]
+
+
 # case -> (bundle file, edit, edit arguments); each edit leaves a bundle
 # the loader must reject
 CORRUPTIONS = {
     "meta_without_best_round": ("meta.txt", _set_best_round, None),
     "meta_non_integer_best_round": ("meta.txt", _set_best_round, "seven"),
-    "history_non_numeric_row": ("history.csv", _set_history_row, "1,abc,0.1,0.2"),
+    "history_non_numeric_row": ("history.csv", _set_line, 1, "1,abc,0.1,0.2"),
     "tree_root_is_its_own_left_child": ("ensemble.txt", _set_root_field, 3, "0"),
     "tree_feature_out_of_range": ("ensemble.txt", _set_root_field, 1, "8"),
+    "tree_root_threshold_nan": ("ensemble.txt", _set_root_field, 2, "nan"),
+    "tree_root_value_inf": ("ensemble.txt", _set_root_field, 5, "inf"),
+    "tree_leaf_value_nan": ("ensemble.txt", _set_first_leaf_value, "nan"),
+    "alpha_above_one": ("ensemble.txt", _set_line, 1, "alpha 2.0"),
+    "alpha_zero": ("ensemble.txt", _set_line, 1, "alpha 0.0"),
+    "linear_weight_nan": ("ensemble.txt", _as_linear_with_first_weight, "nan"),
+    "linear_weight_inf": ("ensemble.txt", _as_linear_with_first_weight, "-inf"),
 }
 
 
@@ -267,7 +289,18 @@ class TestBadInput:
         _edit_lines(bundle / name, edit, *args)
         train_path, _ = blob_file
         assert run(["evaluate", str(bundle), str(train_path)]) == 1
-        assert_one_error_line(capsys)
+        assert name in assert_one_error_line(capsys)
+
+    def test_linear_swap_alone_is_a_valid_bundle(
+        self, overfit_bundle, blob_file, tmp_path, capsys
+    ):
+        # the linear rows above fail on their one bad weight, not on the swap
+        bundle = tmp_path / "bundle"
+        shutil.copytree(overfit_bundle, bundle)
+        _edit_lines(bundle / "ensemble.txt", _as_linear_with_first_weight, "0.5")
+        train_path, _ = blob_file
+        assert run(["evaluate", str(bundle), str(train_path)]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "text",

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightmc import cli, data_io, trainer
 from lightmc.errors import (
@@ -121,6 +125,56 @@ class TestRoundTrip:
         data_io.save_label_map(names, path)
         assert data_io.load_label_map(path) == names
         assert path.read_text().splitlines()[0] == "cat\t0"
+
+    @pytest.mark.parametrize("name", ["", "#b", "c d", "a\tb", "x\n", "\u3000"])
+    def test_names_the_text_formats_cannot_hold_are_rejected(self, name):
+        with pytest.raises(InvalidArg, match="label name"):
+            data_io.from_dense(np.eye(3), np.arange(3), label_names=("a", name, "c"))
+
+
+# every finite double may be stored: signed zeros, subnormals and extremes too
+stored_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+label_tokens = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    min_size=1,
+    max_size=5,
+).filter(lambda s: s.split() == [s] and not s.startswith("#"))
+
+
+@st.composite
+def sparse_datasets(draw):
+    names = draw(st.lists(label_tokens, min_size=1, max_size=4, unique=True))
+    row = st.tuples(
+        st.integers(0, len(names) - 1),
+        st.dictionaries(st.integers(0, 40), stored_values, max_size=6),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return data_io.SparseDataset(
+        indptr=np.cumsum([0] + [len(entries) for _, entries in rows]),
+        indices=[j for _, entries in rows for j in sorted(entries)],
+        values=[entries[j] for _, entries in rows for j in sorted(entries)],
+        labels=[label for label, _ in rows],
+        num_features=41,
+        num_classes=len(names),
+        label_names=tuple(names),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=sparse_datasets(), zero_based=st.booleans())
+def test_text_round_trip_is_bitwise(data, zero_based):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        data_io.save_sparse_text(data, path, zero_based=zero_based)
+        again = data_io.load_sparse_text(path, zero_based=zero_based)
+    assert np.array_equal(again.indptr, data.indptr)
+    assert np.array_equal(again.indices, data.indices)
+    assert again.values.tobytes() == data.values.tobytes()
+    names = [data.label_names[k] for k in data.labels]
+    assert [again.label_names[k] for k in again.labels] == names
 
 
 class TestStratifiedSplit:

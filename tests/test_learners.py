@@ -9,6 +9,7 @@ from lightmc.errors import (
     EmptyDataset,
     IndexOutOfRange,
     InvalidArg,
+    ParseError,
 )
 from lightmc.learners import (
     BOOSTED_TREES,
@@ -184,21 +185,13 @@ class TestTreeFitting:
         rng = np.random.default_rng(9)
         data, _ = random_sparse(rng, 100, 8)
         residuals = rng.normal(size=100)
-        tree, preds = _fit_tree(data, residuals, LearnerSpec(max_leaves=16))
+        preds = _fit_tree(data, residuals, LearnerSpec(max_leaves=16)).predict(data)
         assert ((residuals - preds) ** 2).sum() < (residuals**2).sum()
-
-    def test_grower_predictions_match_traversal(self):
-        rng = np.random.default_rng(11)
-        data, _ = random_sparse(rng, 60, 5)
-        residuals = rng.normal(size=60)
-        tree, preds = _fit_tree(data, residuals, LearnerSpec(max_leaves=10))
-        assert np.array_equal(preds, tree.predict(data))
-
 
     def test_unseen_predictions_match_dense_walk(self):
         rng = np.random.default_rng(19)
         data, _ = random_sparse(rng, 80, 5)
-        fitted, _ = _fit_tree(data, rng.normal(size=80), LearnerSpec(max_leaves=12))
+        fitted = _fit_tree(data, rng.normal(size=80), LearnerSpec(max_leaves=12))
         # thresholds below and at zero, on a feature the other split reuses
         handmade = learners._Tree(
             feature=[0, 1, 0, -1, -1, -1, -1],
@@ -304,6 +297,22 @@ class TestEnsemble:
                 assert np.array_equal(buf_trees[:, j], stages)
             assert np.array_equal(buf_linear, learners.predict_all(linear, data))
 
+    def test_predict_all_is_the_running_buffer_sum(self):
+        # shrinkage 0.1 is inexact in binary, so 0.1 * (a + b) and
+        # 0.1 * a + 0.1 * b differ in the last bits on many entries
+        rng = np.random.default_rng(8)
+        data, _ = random_sparse(rng, 90, 6, num_classes=4)
+        valid, _ = random_sparse(rng, 40, 6, num_classes=4)
+        m = codebook.init_random(4, 5, seed=3)
+        for spec in (LearnerSpec(learning_rate=0.1), LearnerSpec(kind=LINEAR_SGD)):
+            ensemble = learners.new_ensemble(5, spec, data.num_features, seed=6)
+            buf_train, buf_valid = np.zeros((90, 5)), np.zeros((40, 5))
+            for _ in range(6):
+                learners.train_round(ensemble, data, m, buf_train, threads=2)
+                learners.accumulate_round_outputs(ensemble, valid, buf_valid)
+                assert np.array_equal(learners.predict_all(ensemble, data), buf_train)
+                assert np.array_equal(learners.predict_all(ensemble, valid), buf_valid)
+
     def test_linear_matches_one_sgd_loop_per_column(self):
         # exact oracle: each column run alone, as its own per-instance loop
         rng = np.random.default_rng(17)
@@ -406,10 +415,10 @@ class TestEnsemble:
             learners.train_round(serial, data, m, out_serial, threads=1)
             learners.train_round(pooled, data, m, out_pooled, threads=4)
         assert np.array_equal(
-            learners.predict_all(serial, data), learners.predict_all(pooled, data, threads=4)
+            learners.predict_all(serial, data), learners.predict_all(pooled, data)
         )
 
-    def test_threads_write_only_their_own_buffer_column(self):
+    def test_thread_switches_do_not_change_buffers(self):
         rng = np.random.default_rng(16)
         data, _ = random_sparse(rng, 80, 6, num_classes=5)
         m = codebook.init_random(5, 8, seed=3)
@@ -485,3 +494,37 @@ class TestSerialization:
         assert np.array_equal(
             learners.predict_all(ensemble, data), learners.predict_all(again, data)
         )
+
+    @pytest.mark.parametrize("kind", [BOOSTED_TREES, LINEAR_SGD])
+    def test_bad_numbers_are_parse_errors_naming_file_and_line(self, tmp_path, kind):
+        rng = np.random.default_rng(22)
+        data, _ = random_sparse(rng, 40, 5)
+        m = codebook.init_random(3, 3, seed=1)
+        spec = LearnerSpec(kind=kind, max_leaves=4)
+        ensemble = learners.new_ensemble(3, spec, data.num_features, seed=3)
+        outputs = np.zeros((40, 3))
+        for _ in range(2):
+            learners.train_round(ensemble, data, m, outputs)
+        path = tmp_path / "ensemble.txt"
+        learners.save_ensemble(ensemble, path)
+        lines = path.read_text().splitlines()
+        # (0-based line, field, replacement): every number the loader keeps
+        edits = [(1, 1, "2.0"), (1, 1, "0.0"), (1, 1, "nan")]
+        for i, line in enumerate(lines):
+            head = line.split()[0]
+            if head.isdigit() and line.split()[1] != "-1":
+                edits += [(i, 2, "nan"), (i, 5, "inf")]  # a split's threshold, value
+            elif head.isdigit():
+                edits.append((i, 5, "-inf"))  # a leaf's value
+            elif head == "weights":
+                edits.append((i, len(line.split()) - 1, "nan"))
+            elif head == "bias":
+                edits.append((i, 1, "inf"))
+        assert len(edits) > 4
+        for i, field, text in edits:
+            fields = lines[i].split()
+            fields[field] = text
+            path.write_text("\n".join(lines[:i] + [" ".join(fields)] + lines[i + 1:]))
+            with pytest.raises(ParseError, match=f"line {i + 1}: {path}") as info:
+                learners.load_ensemble(path)
+            assert info.value.line == i + 1

@@ -254,6 +254,21 @@ class TestBestRoundSnapshot:
                 stopped_bytes = (tmp_path / "stopped" / name).read_bytes()
                 assert stopped_bytes == (tmp_path / "rerun" / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "learner",
+        [LearnerSpec(learning_rate=0.1, max_leaves=6),
+         LearnerSpec(kind=LINEAR_SGD, learning_rate=0.002)],
+        ids=["trees", "linear_sgd"],
+    )
+    def test_predict_reproduces_best_round_valid_error(self, small_blobs, learner):
+        train, test, _ = small_blobs
+        model = trainer.fit(
+            train, test, quick_config(max_rounds=40, early_stop_rounds=3, learner=learner)
+        )
+        assert model.best_round < len(model.history)
+        error = float(np.mean(trainer.predict(model, test) != test.labels))
+        assert error == model.history[model.best_round - 1].valid_error
+
 
 class TestJointLoopBehaviour:
     def test_lightmc_train_loss_not_above_fixed_ecoc(self):
