@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook, trainer
-from .data_io import load_sparse_text, read_lines, stratified_split, write_csv
+from .data_io import load_sparse_text, read_settings, stratified_split, write_csv
 from .errors import InvalidArg, LightMCError, ParseError
 from .learners import BOOSTED_TREES, LINEAR_SGD, LearnerSpec
 from .trainer import MODE_LIGHTMC, MODES, TrainConfig
@@ -121,19 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
-    for line_no, line in enumerate(read_lines(path, "utf-8"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep or key not in _OPTIONS:
-            raise ParseError(f"unknown config key {line!r}", line=line_no)
+    for line_no, key, val in read_settings(path, "utf-8"):
+        key = key.replace("-", "_")
+        if key not in _OPTIONS:
+            raise ParseError(f"{path}: unknown config key {key!r}", line=line_no)
         try:
-            out[key] = _OPTIONS[key][1](val.strip())
+            out[key] = _OPTIONS[key][1](val)
         except (ValueError, argparse.ArgumentTypeError):
             raise ParseError(
-                f"bad value for {key!r}: {val.strip()!r}", line=line_no
+                f"{path}: bad value for {key!r}: {val!r}", line=line_no
             ) from None
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import read_versioned, write_versioned
+from .data_io import format_floats, read_float_rows, write_versioned
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -62,6 +62,16 @@ class CodingMatrix:
         if not 0 <= k < self.num_classes:
             raise IndexOutOfRange(f"class index {k} not in [0, {self.num_classes})")
         return self.entries[k]
+
+
+def check_labels(labels, num_classes: int, n_rows: int) -> np.ndarray:
+    """`n_rows` class labels as int64, each a row index of a K-row matrix."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n_rows,):
+        raise DimensionMismatch(f"expected {n_rows} labels, got shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise IndexOutOfRange(f"labels must lie in [0, {num_classes})")
+    return labels
 
 
 def is_valid_binary(matrix: CodingMatrix) -> bool:
@@ -184,23 +194,13 @@ def codeword_distance(matrix: CodingMatrix, class_a: int, class_b: int) -> float
 
 def save_matrix(matrix: CodingMatrix, path) -> None:
     """Write the versioned text form: header line, then one row per line."""
-    rows = [" ".join(repr(float(v)) for v in row) for row in matrix.entries]
+    rows = [format_floats(row) for row in matrix.entries]
     write_versioned(path, _HEADER, matrix.entries.shape, rows)
 
 
 def load_matrix(path) -> CodingMatrix:
-    num_classes, code_length, body = read_versioned(path, _HEADER, "codebook")
-    if len(body) < num_classes:
-        raise ParseError(f"{path}: expected {num_classes} rows, found {len(body)}")
-    rows = []
-    for i in range(num_classes):
-        parts = body[i].split()
-        if len(parts) != code_length:
-            raise ParseError(
-                f"{path}: expected {code_length} entries", line=2 + i
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric entry", line=2 + i) from None
-    return CodingMatrix(np.array(rows, dtype=np.float64))
+    rows = read_float_rows(path, _HEADER)
+    try:
+        return CodingMatrix(np.array(rows))
+    except InvalidArg as exc:
+        raise ParseError(f"{path}: {exc}", line=1) from None

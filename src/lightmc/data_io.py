@@ -51,11 +51,9 @@ class SparseDataset:
         vals = np.asarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        for name in self.label_names:  # the text formats split on whitespace
-            if name.split() != [name] or name.startswith("#"):
-                raise InvalidArg(
-                    f"label name {name!r} must be one token not starting with '#'"
-                )
+        for name in self.label_names:
+            if fault := _label_name_fault(name):
+                raise InvalidArg(fault)
 
     @property
     def num_rows(self) -> int:
@@ -92,6 +90,13 @@ class SparseDataset:
         _, values, rows = self.sorted_entries
         counts = np.bincount(self.indices, minlength=self.num_features)
         return np.concatenate(([0], np.cumsum(counts))), rows, values
+
+
+def _label_name_fault(name: str) -> str | None:
+    """Why the text formats cannot hold a label name, or None if they can."""
+    if name.split() != [name] or name.startswith("#"):
+        return f"label name {name!r} must be one token not starting with '#'"
+    return None
 
 
 def from_dense(
@@ -232,18 +237,17 @@ def save_label_map(label_names: tuple[str, ...], path) -> None:
 
 
 def load_label_map(path) -> tuple[str, ...]:
-    names: dict[int, str] = {}
+    """The names save_label_map wrote: line i maps a new name to i - 1."""
+    names: list[str] = []
     for line_no, line in enumerate(read_lines(path, "utf-8"), start=1):
-        if not line:
-            continue
-        try:
-            name, dense = line.split("\t")
-            names[int(dense)] = name
-        except ValueError:
-            raise ParseError(f"bad label-map line {line!r}", line=line_no) from None
-    if sorted(names) != list(range(len(names))):
-        raise ParseError(f"{path}: label map is not a dense [0, K) enumeration")
-    return tuple(names[k] for k in range(len(names)))
+        name, _, dense = line.partition("\t")
+        fault = _label_name_fault(name)
+        if not fault and (dense != str(len(names)) or name in names):
+            fault = f"expected a new name and the index {len(names)}, got {line!r}"
+        if fault:
+            raise ParseError(f"{path}: {fault}", line=line_no)
+        names.append(name)
+    return tuple(names)
 
 
 def _decoded(fh, path):
@@ -270,21 +274,59 @@ def write_versioned(path, name: str, head: tuple, body: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_versioned(path, name, kind, second=int) -> tuple[int, object, list[str]]:
-    """Read a file written by write_versioned: (a, second(b), body lines).
-
-    Body line i is line i + 2 of the file. `kind` names the file in errors.
-    """
+def read_versioned(path, name, second=int) -> tuple[int, object, list[str]]:
+    """Read a write_versioned file: (a, second(b), body); body line i is line i + 2."""
     raw = read_lines(path)
     if not raw:
-        raise ParseError(f"{path}: empty {kind} file")
+        raise ParseError(f"{path}: empty file")
     head = raw[0].split()
     if len(head) != 4 or head[0] != name or head[1] != "v1":
-        raise ParseError(f"{path}: bad {kind} header {raw[0]!r}", line=1)
+        raise ParseError(f"{path}: bad header {raw[0]!r}", line=1)
     try:
         return int(head[2]), second(head[3]), raw[1:]
     except ValueError:
-        raise ParseError(f"{path}: bad {kind} dimensions", line=1) from None
+        raise ParseError(f"{path}: bad header dimensions", line=1) from None
+
+
+def format_floats(row) -> str:
+    """A row of floats in the shortest form that reads back to the same bits."""
+    return " ".join(map(repr, map(float, np.asarray(row, dtype=np.float64))))
+
+
+def parse_floats(path, line: int, tokens: list[str], count: int) -> np.ndarray:
+    """`count` finite floats from `tokens`, or a ParseError naming `line` of `path`."""
+    try:
+        values = np.array(list(map(float, tokens)), dtype=np.float64)
+        if values.shape == (count,) and np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raise ParseError(f"{path}: expected {count} finite numbers", line=line)
+
+
+def read_float_rows(path, name: str, tail: int = 0) -> list[np.ndarray]:
+    """The body of a versioned file whose header `a b` declares a >= 1 rows
+    of `b` floats, then `tail` rows of `a` floats, one row per line."""
+    a, b, body = read_versioned(path, name)
+    if len(body) != a + tail or a < 1:
+        raise ParseError(f"{path}: header {a} x {b} does not fit the body", line=1)
+    return [
+        parse_floats(path, i + 2, row.split(), b if i < a else a)
+        for i, row in enumerate(body)
+    ]
+
+
+def read_settings(path, encoding: str = "ascii"):
+    """(line, key, value) of each `key=value` line, both stripped; blank and
+    '#' lines are skipped, and any other line without '=' is a ParseError."""
+    for line_no, line in enumerate(read_lines(path, encoding), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParseError(f"{path}: expected key=value, got {line!r}", line=line_no)
+        yield line_no, key.strip(), value.strip()
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

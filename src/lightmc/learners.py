@@ -23,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodingMatrix
-from .data_io import SparseDataset, read_versioned, write_versioned
+from .codebook import CodingMatrix, check_labels
+from .data_io import (
+    SparseDataset,
+    format_floats,
+    parse_floats,
+    read_versioned,
+    write_versioned,
+)
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -130,8 +136,10 @@ def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     arrive sorted by (feature, value) with no per-node sort. The implicit
     zero block of each feature is spliced in as one synthetic group between
     its negative and nonnegative stored values, so thresholds on either
-    side of zero are all evaluated. Ties break toward the lowest feature
-    index, then the lowest threshold.
+    side of zero are all evaluated. The split is the first maximum of the
+    computed gains in (feature, threshold) order; a sparse feature's left
+    sums are differences of one running sum, so two identical sparse
+    columns need not get equal gains, and either may win.
     """
     n = rows.shape[0]
     msl = spec.min_samples_leaf
@@ -192,7 +200,7 @@ def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     gain[ok] = (
         s_left[ok] ** 2 / n_left[ok] + s_right[ok] ** 2 / n_right[ok] - parent
     )
-    best = int(np.argmax(gain))  # first max: lowest feature, then lowest threshold
+    best = int(np.argmax(gain))
     if gain[best] <= 1e-12 * (1.0 + abs(parent)):
         return None
     lo_v, hi_v = gv[cand[best]], gv[cand[best] + 1]
@@ -286,9 +294,7 @@ def make_targets(matrix: CodingMatrix, labels: np.ndarray, column: int) -> np.nd
     """Regression targets of one column: the labelled row's entry there."""
     if not 0 <= column < matrix.code_length:
         raise IndexOutOfRange(f"column {column} not in [0, {matrix.code_length})")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= matrix.num_classes):
-        raise IndexOutOfRange(f"labels must lie in [0, {matrix.num_classes})")
+    labels = check_labels(labels, matrix.num_classes, np.size(labels))
     return matrix.entries[labels, column]
 
 
@@ -317,9 +323,8 @@ def train_round(
             f"{ensemble.code_length}"
         )
     _check_data(ensemble, data, outputs)
-    targets = np.column_stack(
-        [make_targets(matrix, data.labels, j) for j in range(matrix.code_length)]
-    )
+    labels = check_labels(data.labels, matrix.num_classes, data.num_rows)
+    targets = matrix.entries[labels]
     if ensemble.is_boosting:
         data.sorted_entries  # build the shared sorted view outside worker threads
 
@@ -427,96 +432,79 @@ def save_ensemble(ensemble: BaseLearnerEnsemble, path) -> None:
                 _dump_tree(tree, t, lines)
         else:
             lines.append(f"member {j}")
-            weights = " ".join(repr(float(w)) for w in ensemble.weights[j])
+            weights = format_floats(ensemble.weights[j])
             lines.append(f"weights {ensemble.num_features} {weights}".rstrip())
-            lines.append(f"bias {float(ensemble.bias[j])!r}")
+            lines.append(f"bias {format_floats(ensemble.bias[j:j + 1])}")
     write_versioned(path, _HEADER, (ensemble.code_length, spec.kind), lines)
 
 
 def _dump_tree(tree: _Tree, index: int, lines: list[str]) -> None:
+    feature, threshold, left, right, value = (
+        getattr(tree, name).tolist() for name in _Tree.__slots__
+    )
     order = []
     stack = [0]
     while stack:
         nid = stack.pop()
         order.append(nid)
-        if tree.feature[nid] >= 0:
-            stack.append(int(tree.right[nid]))
-            stack.append(int(tree.left[nid]))
-    remap = {old: new for new, old in enumerate(order)}
+        if feature[nid] >= 0:
+            stack.append(right[nid])
+            stack.append(left[nid])
+    remap = {old: new for new, old in enumerate(order)} | {-1: -1}  # -1: no child
     lines.append(f"tree {index} {len(order)}")
     for old in order:
-        if tree.feature[old] >= 0:
-            lines.append(
-                f"{remap[old]} {int(tree.feature[old])} "
-                f"{float(tree.threshold[old])!r} "
-                f"{remap[int(tree.left[old])]} {remap[int(tree.right[old])]} "
-                f"{float(tree.value[old])!r}"
-            )
-        else:
-            lines.append(f"{remap[old]} -1 0.0 -1 -1 {float(tree.value[old])!r}")
+        lines.append(
+            f"{remap[old]} {feature[old]} {threshold[old]!r} "
+            f"{remap[left[old]]} {remap[right[old]]} {value[old]!r}"
+        )
 
 
 def load_ensemble(path) -> BaseLearnerEnsemble:
-    code_length, kind, body = read_versioned(path, _HEADER, "ensemble", second=str)
+    """Read a save_ensemble file; the body must hold exactly the header's L members."""
+    code_length, kind, body = read_versioned(path, _HEADER, second=str)
     if kind not in _KINDS:
         raise ParseError(f"{path}: unknown learner kind {kind!r}", line=1)
+    boosting = kind == BOOSTED_TREES
+    members: list = []  # trees: a column's stages; linear: its (weights, bias)
+    pos = 2  # body line pos is line pos + 2 of the file
     try:
         alpha = float(body[0].split()[1])
         num_features = int(body[1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: bad ensemble property lines") from None
-    if not 0.0 < alpha <= 1.0:
-        raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
-    _check_dimensions(path, body, code_length, kind, num_features)
-    spec = LearnerSpec(kind=kind, learning_rate=alpha)
-    ensemble = new_ensemble(code_length, spec, num_features)
-    pos = 2  # body line pos is line pos + 2 of the file
-    try:
-        for j in range(code_length):
-            parts = body[pos].split()
-            if parts[0] != "member" or int(parts[1]) != j:
+        if not 0.0 < alpha <= 1.0:
+            raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
+        while pos < len(body):
+            j, parts = len(members), body[pos].split()
+            if parts[:2] != ["member", str(j)] or len(parts) != 2 + boosting:
                 raise ParseError(f"{path}: expected member {j}", line=pos + 2)
             pos += 1
-            if kind == BOOSTED_TREES:
+            if boosting:
+                members.append([])
                 for _ in range(int(parts[2])):
                     tree, pos = _parse_tree(body, pos, path, num_features)
-                    ensemble.trees[j].append(tree)
-            else:
-                wparts = body[pos].split()
-                weights = np.array([float(x) for x in wparts[2:]])
-                sized = int(wparts[1]) == weights.shape[0] == num_features
-                if not (sized and np.isfinite(weights).all()):
-                    raise ParseError(
-                        f"{path}: expected {num_features} finite weights", line=pos + 2
-                    )
-                ensemble.weights[j] = weights
-                ensemble.bias[j] = float(body[pos + 1].split()[1])
-                if not math.isfinite(ensemble.bias[j]):
-                    raise ParseError(f"{path}: non-finite bias", line=pos + 3)
-                pos += 2
+                    members[-1].append(tree)
+                continue
+            weights, bias = body[pos].split(), body[pos + 1].split()
+            if weights[:2] != ["weights", str(num_features)] or bias[:1] != ["bias"]:
+                raise ParseError(
+                    f"{path}: header declares {num_features} features; expected "
+                    "a weights line of them and a bias line",
+                    line=pos + 2,
+                )
+            w = parse_floats(path, pos + 2, weights[2:], num_features)
+            members.append((w, parse_floats(path, pos + 3, bias[1:], 1)[0]))
+            pos += 2
     except ParseError:
         raise
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: corrupt ensemble file ({exc})") from None
-    return ensemble
-
-
-def _check_dimensions(path, body, code_length, kind, num_features) -> None:
-    """Reject header dimensions the body cannot hold before allocating them.
-
-    Every member starts with a `member` line, and a linear member's weights
-    line holds num_features numbers of at least one digit and a separator.
-    """
-    members = sum(line.startswith("member ") for line in body)
-    weight_chars = sum(len(line) for line in body if line.startswith("weights "))
-    if members != code_length or (
-        kind == LINEAR_SGD and 2 * num_features * code_length > weight_chars
-    ):
-        raise ParseError(
-            f"{path}: header declares {code_length} members of "
-            f"{num_features} features, the body holds {members} members",
-            line=1,
-        )
+    if len(members) != code_length:
+        raise ParseError(f"{path}: header declares {code_length} members", line=1)
+    spec = LearnerSpec(kind=kind, learning_rate=alpha)
+    if boosting:
+        return BaseLearnerEnsemble(spec, num_features, 0, trees=members)
+    del body  # so the text and two copies of the weights are never held at once
+    w, b = map(np.array, zip(*members))
+    return BaseLearnerEnsemble(spec, num_features, 0, [], w, b)
 
 
 def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:
@@ -533,8 +521,9 @@ def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:
         threshold, value = float(fields[2]), float(fields[5])
         children_later = nid < left < n_nodes and nid < right < n_nodes
         is_split = 0 <= feature < num_features and children_later
+        is_leaf = feature == left == right == -1
         finite = math.isfinite(threshold) and math.isfinite(value)
-        if int(fields[0]) != nid or not (feature == -1 or is_split) or not finite:
+        if int(fields[0]) != nid or not (is_leaf or is_split) or not finite:
             raise ParseError(
                 f"{path}: node {nid} out of order or range, or not finite",
                 line=pos + nid + 3,

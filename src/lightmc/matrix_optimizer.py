@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodingMatrix
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidArg,
-    NonFiniteGradient,
-)
+from .codebook import CodingMatrix, check_labels
+from .errors import DimensionMismatch, InvalidArg, NonFiniteGradient
 
 
 @dataclass(frozen=True)
@@ -38,17 +33,11 @@ def accumulate(
     counts[k] = number of such instances.
     """
     g = np.asarray(grad_rows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if g.ndim != 2:
         raise DimensionMismatch(f"gradient rows must be 2-D, got ndim={g.ndim}")
-    if labels.shape != (g.shape[0],):
-        raise DimensionMismatch(
-            f"{g.shape[0]} gradient rows but {labels.shape} labels"
-        )
     if num_classes < 1:
         raise InvalidArg(f"num_classes must be positive, got {num_classes}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise IndexOutOfRange(f"labels must lie in [0, {num_classes})")
+    labels = check_labels(labels, num_classes, g.shape[0])
     sums = np.zeros((num_classes, g.shape[1]))
     np.add.at(sums, labels, g)
     counts = np.bincount(labels, minlength=num_classes).astype(np.int64)

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodingMatrix
-from .data_io import read_versioned, write_versioned
+from .codebook import CodingMatrix, check_labels
+from .data_io import format_floats, read_float_rows, write_versioned
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidArg,
     NonFiniteGradient,
     NonFiniteInput,
-    ParseError,
 )
 
 _HEADER = "lightmc-decoder"
@@ -185,14 +184,14 @@ def output_gradients(
     Vectorized form of the third component of loss_gradients; this is the
     G matrix consumed by the coding-matrix update.
     """
-    labels = _check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
+    labels = check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
     dt, _ = _batch_score_gradients(params, outputs, labels)
     return 0.5 * (dt @ params.weights)
 
 
 def mean_loss(params: DecoderParams, outputs: np.ndarray, labels: np.ndarray) -> float:
     """Mean instance loss over a batch of output rows."""
-    labels = _check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
+    labels = check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
     p = np.clip(batch_probabilities(params, outputs), _EPS, 1.0 - _EPS)
     n = p.shape[0]
     log_others = np.log1p(-p)
@@ -203,17 +202,6 @@ def mean_loss(params: DecoderParams, outputs: np.ndarray, labels: np.ndarray) ->
         + log_others.sum(axis=1)
     )
     return float(per_row.mean())
-
-
-def _check_labels(labels, num_classes: int, n_rows: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n_rows,):
-        raise DimensionMismatch(
-            f"expected {n_rows} labels, got shape {labels.shape}"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise IndexOutOfRange(f"labels must lie in [0, {num_classes})")
-    return labels
 
 
 def train_decoding(
@@ -240,7 +228,7 @@ def train_decoding(
     n = o.shape[0]
     if n < 1:
         raise InvalidArg("need at least one instance")
-    labels = _check_labels(labels, params.num_classes, n)
+    labels = check_labels(labels, params.num_classes, n)
     if lr <= 0:
         raise InvalidArg(f"learning rate must be positive, got {lr}")
     if batch_size < 1:
@@ -279,22 +267,10 @@ def train_decoding(
 
 def save_params(params: DecoderParams, path) -> None:
     """Text form: header, K weight rows, one final line of K biases."""
-    lines = [" ".join(repr(float(v)) for v in row) for row in params.weights]
-    lines.append(" ".join(repr(float(v)) for v in params.biases))
-    write_versioned(path, _HEADER, params.weights.shape, lines)
+    rows = [format_floats(row) for row in (*params.weights, params.biases)]
+    write_versioned(path, _HEADER, params.weights.shape, rows)
 
 
 def load_params(path) -> DecoderParams:
-    num_classes, code_length, body = read_versioned(path, _HEADER, "decoder")
-    if len(body) < num_classes + 1:
-        raise ParseError(f"{path}: truncated decoder file")
-    try:
-        weights = np.array(
-            [[float(p) for p in body[i].split()] for i in range(num_classes)]
-        )
-        biases = np.array([float(p) for p in body[num_classes].split()])
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric entry") from None
-    if weights.shape != (num_classes, code_length) or biases.shape != (num_classes,):
-        raise ParseError(f"{path}: decoder dimensions do not match header")
-    return DecoderParams(weights, biases)
+    *weights, biases = read_float_rows(path, _HEADER, tail=1)
+    return DecoderParams(np.array(weights), biases)

@@ -25,7 +25,7 @@ from .data_io import (
     SparseDataset,
     load_label_map,
     read_csv,
-    read_lines,
+    read_settings,
     save_label_map,
     write_csv,
 )
@@ -361,11 +361,7 @@ def save_model(model: TrainedModel, out_dir) -> None:
 
 def load_model(model_dir) -> TrainedModel:
     out = Path(model_dir)
-    meta: dict[str, str] = {}
-    for line in read_lines(out / _META_NAME):
-        key, _, val = line.strip().partition("=")
-        if key:
-            meta[key] = val
+    meta = {key: value for _, key, value in read_settings(out / _META_NAME)}
     if meta.get("format") != "lightmc-model v1":
         raise ParseError(f"{out}: unrecognized model bundle")
     matrix = codebook.load_matrix(out / _FILES["codebook"])

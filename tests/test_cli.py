@@ -230,6 +230,12 @@ def _set_line(lines, index, text):
     lines[index] = text
 
 
+def _set_field(lines, index, field, text):
+    fields = lines[index].split()
+    fields[field] = text
+    lines[index] = " ".join(fields)
+
+
 def _set_root_field(lines, field, value):
     root = lines.index(next(ln for ln in lines if ln.startswith("tree 0 "))) + 1
     fields = lines[root].split()
@@ -268,6 +274,16 @@ CORRUPTIONS = {
     "alpha_zero": ("ensemble.txt", _set_line, 1, "alpha 0.0"),
     "linear_weight_nan": ("ensemble.txt", _as_linear_with_first_weight, "nan"),
     "linear_weight_inf": ("ensemble.txt", _as_linear_with_first_weight, "-inf"),
+    "meta_junk_line": ("meta.txt", list.append, "junk"),
+    "codebook_extra_row": ("codebook.txt", list.append, "1.0 -1.0 1.0 -1.0"),
+    "codebook_nan": ("codebook.txt", _set_field, 1, 0, "nan"),
+    "decoder_extra_row": ("decoder.txt", list.append, "1.0 -1.0 1.0 -1.0"),
+    "decoder_weight_inf": ("decoder.txt", _set_field, 1, 0, "inf"),
+    "decoder_bias_nan": ("decoder.txt", _set_field, -1, 0, "nan"),
+    "decoder_short_row": ("decoder.txt", _set_line, 1, "1.0 -1.0 1.0"),
+    "ensemble_junk_after_last_member": ("ensemble.txt", list.append, "junk"),
+    "label_map_bad_index": ("labels.map", _set_line, 0, "a\tx"),
+    "label_map_name_with_space": ("labels.map", _set_line, 0, "a b\t0"),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightmc import cli, data_io, trainer
+from lightmc import cli, codebook, data_io, softmax_decoder as sd, trainer
 from lightmc.errors import (
     EmptyFile,
     InvalidArg,
@@ -130,6 +130,84 @@ class TestRoundTrip:
     def test_names_the_text_formats_cannot_hold_are_rejected(self, name):
         with pytest.raises(InvalidArg, match="label name"):
             data_io.from_dense(np.eye(3), np.arange(3), label_names=("a", name, "c"))
+
+
+class TestBundleReaders:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a\tx\n", 1),
+            ("a b\t0\n", 1),
+            ("#a\t0\n", 1),
+            ("\u3000\t0\n", 1),
+            ("a\t0\t1\n", 1),
+            ("a\t0\nb\t2\n", 2),
+            ("a\t0\na\t1\n", 2),
+            ("a\t0\n\nb\t1\n", 2),
+        ],
+    )
+    def test_bad_label_map_names_file_and_line(self, tmp_path, text, line):
+        path = write(tmp_path, text, "labels.map")
+        with pytest.raises(ParseError) as info:
+            data_io.load_label_map(path)
+        assert info.value.line == line and str(path) in str(info.value)
+
+    def test_settings_skip_comments_and_blank_lines(self, tmp_path):
+        path = write(tmp_path, "# note\n\n a = 1 \nb=x=y\n", "settings.txt")
+        assert list(data_io.read_settings(path)) == [(3, "a", "1"), (4, "b", "x=y")]
+        path = write(tmp_path, "a=1\njunk\n", "settings.txt")
+        with pytest.raises(ParseError) as info:
+            list(data_io.read_settings(path))
+        assert info.value.line == 2 and str(path) in str(info.value)
+
+    def test_float_row_round_trip_is_bitwise(self):
+        row = np.array([0.0, -0.0, 5e-324, -1e308, 0.1, 1 / 3])
+        text = data_io.format_floats(row)
+        assert text == "0.0 -0.0 5e-324 -1e+308 0.1 0.3333333333333333"
+        again = data_io.parse_floats("f.txt", 1, text.split(), row.size)
+        assert again.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize(
+        "tokens, count",
+        [(["1", "nan"], 2), (["-inf"], 1), (["1"], 2), (["1", "2"], 1), (["x"], 1)],
+    )
+    def test_parse_floats_names_file_and_line(self, tokens, count):
+        with pytest.raises(ParseError) as info:
+            data_io.parse_floats("f.txt", 7, tokens, count)
+        assert info.value.line == 7 and "f.txt" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text", ["lightmc-decoder v1 -1 4\n", "lightmc-decoder v1 0 4\n\n"]
+    )
+    def test_decoder_without_classes_is_a_parse_error(self, tmp_path, text):
+        with pytest.raises(ParseError, match="header"):
+            sd.load_params(write(tmp_path, text, "decoder.txt"))
+
+    @pytest.mark.parametrize("kind", ["codebook", "decoder"])
+    def test_float_row_files_match_their_headers(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.txt"
+        if kind == "codebook":
+            codebook.save_matrix(codebook.init_random(4, 5, seed=1), path)
+            load = codebook.load_matrix
+        else:
+            sd.save_params(sd.init_from_matrix(codebook.init_random(4, 5, seed=1)), path)
+            load = sd.load_params
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines)):
+            for text in ("nan", "inf", "x", None):  # None drops the row's last number
+                fields = lines[i].split()
+                if text is None:
+                    fields.pop()
+                else:
+                    fields[0] = text
+                path.write_text("\n".join(lines[:i] + [" ".join(fields)] + lines[i + 1:]))
+                with pytest.raises(ParseError) as info:
+                    load(path)
+                assert info.value.line == i + 1 and str(path) in str(info.value)
+        for body in (lines + lines[-1:], lines[:-1]):
+            path.write_text("\n".join(body) + "\n")
+            with pytest.raises(ParseError, match="header"):
+                load(path)
 
 
 # every finite double may be stored: signed zeros, subnormals and extremes too

@@ -2,8 +2,9 @@
 
 Each example takes one saved file (a file of a trees bundle, of a linear
 bundle, or a data file), applies one byte substitution, insertion or
-truncation to it, and loads it the way `lightmc evaluate` does. The loaders
-may accept the file or raise a LightMCError; any other exception fails.
+truncation to it, and loads it the way `lightmc evaluate` does; or it
+writes arbitrary bytes as a data file. The loaders may accept the file or
+raise a LightMCError; any other exception fails.
 """
 
 import contextlib
@@ -108,3 +109,24 @@ def test_corrupt_data_file(saved, bundle, mutation):
         with contextlib.suppress(LightMCError):
             data_io.load_sparse_text(data_path)
         evaluate(saved / bundle, data_path)
+
+
+# arbitrary bytes, and text over the data format's own characters, which
+# reaches past the decoder and the label token more often
+data_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.text(" \t\n\r\x0b\x0c:#.-+_e0123456789abfinxAN", max_size=300).map(str.encode),
+)
+
+
+@FUZZ
+@given(raw=data_bytes, zero_based=st.booleans())
+def test_arbitrary_bytes_data_file(raw, zero_based):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_bytes(raw)
+        try:
+            data = data_io.load_sparse_text(path, zero_based=zero_based)
+        except LightMCError:
+            return
+    assert isinstance(data, data_io.SparseDataset) and data.num_rows >= 1

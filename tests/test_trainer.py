@@ -1,12 +1,15 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightmc import codebook, data_io, learners, softmax_decoder as sd, synthetic, trainer
 from lightmc.errors import ConfigInvalid, DimensionMismatch, MissingClass
-from lightmc.learners import LINEAR_SGD, LearnerSpec
-from lightmc.trainer import TrainConfig, update_rounds
+from lightmc.learners import BOOSTED_TREES, LINEAR_SGD, LearnerSpec
+from lightmc.trainer import MODES, TrainConfig, update_rounds
 
 
 @pytest.fixture(scope="module")
@@ -412,3 +415,44 @@ class TestModelBundle:
         times = [rec.wall_time for rec in again.history]
         assert all(type(t) is float for t in times)
         assert times == sorted(set(times)) and times[0] > 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([BOOSTED_TREES, LINEAR_SGD]),
+    mode=st.sampled_from(MODES),
+    alpha=st.floats(0.01, 1.0),
+    rounds=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_bundle_round_trip_is_bytewise(small_blobs, kind, mode, alpha, rounds, seed):
+    # save, load and save again: every file, history.csv too, keeps its bytes
+    train, test, _ = small_blobs
+    learner = LearnerSpec(
+        kind=kind, learning_rate=alpha if kind == BOOSTED_TREES else alpha / 500,
+        max_leaves=4,
+    )
+    model = trainer.fit(
+        train, test, quick_config(max_rounds=rounds, start_round=1, learner=learner,
+                                  seed=seed, mode=mode)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        trainer.save_model(model, first)
+        again = trainer.load_model(first)
+        trainer.save_model(again, second)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert np.array_equal(trainer.predict(again, test), trainer.predict(model, test))
+    # and gives back the model exactly, so these are not merely rounded alike
+    assert again.history == model.history
+    for got, want in [
+        (again.matrix.entries, model.matrix.entries),
+        (again.decoder.weights, model.decoder.weights),
+        (again.decoder.biases, model.decoder.biases),
+        (learners.predict_all(again.ensemble, test),
+         learners.predict_all(model.ensemble, test)),
+    ]:
+        assert got.tobytes() == want.tobytes()
