@@ -4,17 +4,15 @@ Every training option is one row of `_OPTIONS`: the flag `--name-with-dashes`
 and the config-file key `name_with_underscores` share the row's parser, and
 its default is the `TrainConfig` or `LearnerSpec` default of the field it
 sets (valid_fraction, which sets no field, defaults to VALID_FRACTION). The
-keys min_samples_leaf, epochs_per_round and matrix_batch have no flag.
-Option precedence is flags over config-file values over those defaults;
-`--threads` falls back to LIGHTMC_THREADS, then the core count. Config files
-are flat `key=value` text. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+keys min_samples_leaf and epochs_per_round have no flag. Option precedence
+is flags over config-file values over those defaults. Config files are flat
+`key=value` text, each key at most once, spelt with underscores or dashes.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,12 +71,13 @@ _OPTIONS = {
     "max_leaves": ("learner.max_leaves", int, "leaves per tree"),
     "min_samples_leaf": ("learner.min_samples_leaf", int, "rows per leaf, at least"),
     "epochs_per_round": ("learner.epochs_per_round", int, "linear SGD epochs per round"),
-    "matrix_batch": ("matrix_batch", int, "matrix-step mini-batch; 0 = full batch"),
     "threads": ("threads", int, "threads for tree columns; linear runs on one"),
     "seed": ("seed", int, "random seed"),
     "valid_fraction": (None, float, "validation share of --data without --valid"),
 }
-_FILE_ONLY = ("min_samples_leaf", "epochs_per_round", "matrix_batch")
+_FILE_ONLY = ("min_samples_leaf", "epochs_per_round")
+# config keys may also be spelt as their flags are, with dashes
+_CONFIG_KEYS = {s: name for name in _OPTIONS for s in (name, name.replace("_", "-"))}
 
 
 def _add_options(p: argparse.ArgumentParser) -> None:
@@ -121,10 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, object]:
     out: dict[str, object] = {}
-    for line_no, key, val in read_settings(path, "utf-8"):
-        key = key.replace("-", "_")
-        if key not in _OPTIONS:
-            raise ParseError(f"{path}: unknown config key {key!r}", line=line_no)
+    for line_no, key, val in read_settings(path, _CONFIG_KEYS, "utf-8"):
         try:
             out[key] = _OPTIONS[key][1](val)
         except (ValueError, argparse.ArgumentTypeError):
@@ -135,18 +131,12 @@ def _read_config_file(path: str) -> dict[str, object]:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
-    """The options a flag or the config file sets, plus the threads fallback."""
+    """The options a flag or the config file sets."""
     opts = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for name in _OPTIONS:
         flag_val = getattr(args, name, None)
         if flag_val is not None:
             opts[name] = flag_val
-    if "threads" not in opts:
-        env = os.environ.get("LIGHTMC_THREADS")
-        try:
-            opts["threads"] = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise InvalidArg(f"LIGHTMC_THREADS={env!r} is not an integer") from None
     return opts
 
 

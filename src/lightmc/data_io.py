@@ -316,17 +316,24 @@ def read_float_rows(path, name: str, tail: int = 0) -> list[np.ndarray]:
     ]
 
 
-def read_settings(path, encoding: str = "ascii"):
-    """(line, key, value) of each `key=value` line, both stripped; blank and
-    '#' lines are skipped, and any other line without '=' is a ParseError."""
+def read_settings(path, keys: dict[str, str], encoding: str = "ascii"):
+    """(line, key, value) of each `key=value` line, stripped, with the key as
+    `keys` maps its spelling; blank and '#' lines are skipped. Any other line
+    without '=', an unknown spelling or a repeated key is a ParseError."""
+    seen: set[str] = set()
     for line_no, line in enumerate(read_lines(path, encoding), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        spelling, sep, value = line.partition("=")
         if not sep:
             raise ParseError(f"{path}: expected key=value, got {line!r}", line=line_no)
-        yield line_no, key.strip(), value.strip()
+        key = keys.get(spelling.strip())
+        if key is None or key in seen:
+            why = "unknown" if key is None else "repeated"
+            raise ParseError(f"{path}: {why} key {spelling.strip()!r}", line=line_no)
+        seen.add(key)
+        yield line_no, key, value.strip()
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

@@ -465,39 +465,33 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
     if kind not in _KINDS:
         raise ParseError(f"{path}: unknown learner kind {kind!r}", line=1)
     boosting = kind == BOOSTED_TREES
+    _, alpha = _fields(body, 0, path, ("alpha", float))
+    _, num_features = _fields(body, 1, path, ("features", int))
+    if not 0.0 < alpha <= 1.0:
+        raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
     members: list = []  # trees: a column's stages; linear: its (weights, bias)
     pos = 2  # body line pos is line pos + 2 of the file
-    try:
-        alpha = float(body[0].split()[1])
-        num_features = int(body[1].split()[1])
-        if not 0.0 < alpha <= 1.0:
-            raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
-        while pos < len(body):
-            j, parts = len(members), body[pos].split()
-            if parts[:2] != ["member", str(j)] or len(parts) != 2 + boosting:
-                raise ParseError(f"{path}: expected member {j}", line=pos + 2)
+    while pos < len(body):
+        if boosting:
+            *_, stages = _fields(body, pos, path, ("member", str(len(members)), int))
             pos += 1
-            if boosting:
-                members.append([])
-                for _ in range(int(parts[2])):
-                    tree, pos = _parse_tree(body, pos, path, num_features)
-                    members[-1].append(tree)
-                continue
-            weights, bias = body[pos].split(), body[pos + 1].split()
-            if weights[:2] != ["weights", str(num_features)] or bias[:1] != ["bias"]:
-                raise ParseError(
-                    f"{path}: header declares {num_features} features; expected "
-                    "a weights line of them and a bias line",
-                    line=pos + 2,
-                )
-            w = parse_floats(path, pos + 2, weights[2:], num_features)
-            members.append((w, parse_floats(path, pos + 3, bias[1:], 1)[0]))
-            pos += 2
-    except ParseError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: corrupt ensemble file ({exc})") from None
-    if len(members) != code_length:
+            members.append([])
+            for stage in range(stages):
+                tree, pos = _parse_tree(body, pos, path, stage, num_features)
+                members[-1].append(tree)
+            continue
+        _fields(body, pos, path, ("member", str(len(members))))
+        weights, bias, *_ = [line.split() for line in body[pos + 1:pos + 3]] + [[], []]
+        if weights[:2] != ["weights", str(num_features)] or bias[:1] != ["bias"]:
+            raise ParseError(
+                f"{path}: header declares {num_features} features; expected "
+                "a weights line of them and a bias line",
+                line=pos + 3,
+            )
+        w = parse_floats(path, pos + 3, weights[2:], num_features)
+        members.append((w, parse_floats(path, pos + 4, bias[1:], 1)[0]))
+        pos += 3
+    if len(members) != code_length or not members:
         raise ParseError(f"{path}: header declares {code_length} members", line=1)
     spec = LearnerSpec(kind=kind, learning_rate=alpha)
     if boosting:
@@ -507,26 +501,43 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
     return BaseLearnerEnsemble(spec, num_features, 0, [], w, b)
 
 
-def _parse_tree(body, pos, path, num_features) -> tuple[_Tree, int]:
-    """One tree in pre-order: node i is the i-th line after the tree header,
+def _fields(body, pos, path, spec: tuple) -> list:
+    """Body line `pos` as one value per `spec` entry: a str entry must equal its
+    field, a type converts it. Else, or past the end, a ParseError names the line."""
+    parts = body[pos].split() if pos < len(body) else []
+    try:
+        if len(parts) == len(spec) and all(
+            p == e for e, p in zip(spec, parts) if isinstance(e, str)
+        ):
+            return [p if isinstance(e, str) else e(p) for e, p in zip(spec, parts)]
+    except ValueError:
+        pass
+    shape = " ".join(e if isinstance(e, str) else f"<{e.__name__}>" for e in spec)
+    raise ParseError(f"{path}: expected {shape!r}", line=pos + 2)
+
+
+def _parse_tree(body, pos, path, stage, num_features) -> tuple[_Tree, int]:
+    """Tree `stage` in pre-order: node i is the i-th line after its header,
     and children come after their parent, which keeps traversal finite."""
-    parts = body[pos].split()
-    n_nodes = int(parts[2])
-    if parts[0] != "tree" or n_nodes < 1:
-        raise ParseError(f"{path}: expected a tree header", line=pos + 2)
+    *_, n_nodes = _fields(body, pos, path, ("tree", str(stage), int))
+    end = pos + 1 + n_nodes
+    if n_nodes < 1 or end > len(body):
+        raise ParseError(f"{path}: tree {stage} declares {n_nodes} nodes", line=pos + 2)
     nodes = []
-    for nid in range(n_nodes):
-        fields = body[pos + 1 + nid].split()
-        feature, left, right = int(fields[1]), int(fields[3]), int(fields[4])
-        threshold, value = float(fields[2]), float(fields[5])
+    for nid, at in enumerate(range(pos + 1, end)):
+        fields = body[at].split()
+        if len(fields) != 6 or fields[0] != str(nid):
+            raise ParseError(f"{path}: expected 6 fields for node {nid}", line=at + 2)
+        try:
+            feature, left, right = int(fields[1]), int(fields[3]), int(fields[4])
+            threshold, value = float(fields[2]), float(fields[5])
+        except ValueError:
+            raise ParseError(f"{path}: bad number in node {nid}", line=at + 2) from None
         children_later = nid < left < n_nodes and nid < right < n_nodes
         is_split = 0 <= feature < num_features and children_later
         is_leaf = feature == left == right == -1
         finite = math.isfinite(threshold) and math.isfinite(value)
-        if int(fields[0]) != nid or not (is_leaf or is_split) or not finite:
-            raise ParseError(
-                f"{path}: node {nid} out of order or range, or not finite",
-                line=pos + nid + 3,
-            )
+        if not (is_leaf or is_split) or not finite:
+            raise ParseError(f"{path}: node {nid} has a bad link or value", line=at + 2)
         nodes.append((feature, threshold, left, right, value))
-    return _Tree(*zip(*nodes)), pos + 1 + n_nodes
+    return _Tree(*zip(*nodes)), end

@@ -12,6 +12,7 @@ returned.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +30,9 @@ from .data_io import (
     save_label_map,
     write_csv,
 )
-from .errors import ConfigInvalid, DimensionMismatch, MissingClass, ParseError
+from .errors import (
+    ConfigInvalid, DimensionMismatch, EmptyDataset, MissingClass, ParseError
+)
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
 
@@ -39,6 +42,7 @@ MODE_OVA = "ova"
 MODES = (MODE_LIGHTMC, MODE_ECOC_FIXED, MODE_OVA)
 
 _META_NAME = "meta.txt"
+_META_KEYS = "format mode num_features num_classes code_length best_round".split()
 _FILES = {
     "codebook": "codebook.txt",
     "decoder": "decoder.txt",
@@ -48,13 +52,20 @@ _FILES = {
 }
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, or all cores where it cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class TrainConfig:
-    """All training hyperparameters.
+    """All training hyperparameters, and the only source of their defaults.
 
     code_length may be the string "auto", which applies the built-in
     length rule (raised to the smallest feasible length when the rule
-    produces an infeasible binary code).
+    produces an infeasible binary code). threads defaults to the usable cores.
     """
 
     code_length: int | str = "auto"
@@ -69,8 +80,7 @@ class TrainConfig:
     seed: int = 0
     early_stop_rounds: int = 20
     mode: str = MODE_LIGHTMC
-    threads: int = 1
-    matrix_batch: int = 0  # 0 = full batch
+    threads: int = field(default_factory=_usable_cores)
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -103,8 +113,6 @@ class TrainConfig:
             raise ConfigInvalid(f"l2 must be >= 0, got {self.l2}")
         if self.threads < 1:
             raise ConfigInvalid(f"threads must be >= 1, got {self.threads}")
-        if self.matrix_batch < 0:
-            raise ConfigInvalid(f"matrix_batch must be >= 0, got {self.matrix_batch}")
         if self.mode == MODE_LIGHTMC and self.gamma1 <= 0:
             raise ConfigInvalid(f"gamma1 must be > 0, got {self.gamma1}")
         if self.mode == MODE_LIGHTMC and self.gamma2 <= 0:
@@ -198,6 +206,8 @@ def fit(
         raise DimensionMismatch(
             "validation feature space does not match training data"
         )
+    if validation.num_rows == 0:
+        raise EmptyDataset("the validation set has no rows")
     k = data.num_classes
     if config.mode == MODE_OVA:
         matrix = CodingMatrix(2.0 * np.eye(k) - 1.0)
@@ -237,10 +247,13 @@ def fit(
                 l2=config.l2,
                 seed=_decoder_seed(config.seed, i),
             )
-            matrix = _matrix_step(matrix, decoder, o_train, labels, config)
+            grads = softmax_decoder.output_gradients(decoder, o_train, labels)
+            stats = matrix_optimizer.accumulate(grads, labels, k)
+            matrix = matrix_optimizer.update_matrix(matrix, stats, config.gamma2)
 
         train_loss = softmax_decoder.mean_loss(decoder, o_train, labels)
-        valid_error = _error_fraction(config.mode, decoder, o_valid, validation.labels)
+        decoded = _decode(config.mode, decoder, o_valid)
+        valid_error = float(np.mean(decoded != validation.labels))
         elapsed = time.perf_counter() - t_start
         if elapsed <= prev_elapsed:  # keep wall times strictly increasing
             elapsed = float(np.nextafter(prev_elapsed, np.inf))
@@ -289,28 +302,11 @@ def fit(
     )
 
 
-def _matrix_step(matrix, decoder, o_train, labels, config) -> CodingMatrix:
-    n = o_train.shape[0]
-    batch = config.matrix_batch if config.matrix_batch > 0 else n
-    for start in range(0, n, batch):
-        sl = slice(start, start + batch)
-        grads = softmax_decoder.output_gradients(decoder, o_train[sl], labels[sl])
-        stats = matrix_optimizer.accumulate(grads, labels[sl], matrix.num_classes)
-        matrix = matrix_optimizer.update_matrix(matrix, stats, config.gamma2)
-    return matrix
-
-
 def _decode(mode, decoder, outputs) -> np.ndarray:
     """Class per output row: argmax of the raw outputs for OVA, else the decoder."""
     if mode == MODE_OVA:
         return np.argmax(outputs, axis=1)
     return softmax_decoder.batch_predict(decoder, outputs)
-
-
-def _error_fraction(mode, decoder, outputs, labels) -> float:
-    if labels.shape[0] == 0:
-        return 0.0
-    return float(np.mean(_decode(mode, decoder, outputs) != labels))
 
 
 def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
@@ -346,22 +342,17 @@ def save_model(model: TrainedModel, out_dir) -> None:
     save_label_map(model.label_names, out / _FILES["labels"])
     # wall times live only in history.csv so the model files stay
     # byte-identical across reruns with the same seed
-    meta = {
-        "format": "lightmc-model v1",
-        "mode": model.mode,
-        "num_features": model.num_features,
-        "num_classes": model.num_classes,
-        "code_length": model.matrix.code_length,
-        "best_round": model.best_round,
-    }
+    meta = ("lightmc-model v1", model.mode, model.num_features, model.num_classes,
+            model.matrix.code_length, model.best_round)
     with open(out / _META_NAME, "w", encoding="ascii") as fh:
-        for key, val in meta.items():
+        for key, val in zip(_META_KEYS, meta):
             fh.write(f"{key}={val}\n")
 
 
 def load_model(model_dir) -> TrainedModel:
     out = Path(model_dir)
-    meta = {key: value for _, key, value in read_settings(out / _META_NAME)}
+    keys = {key: key for key in _META_KEYS}
+    meta = {key: value for _, key, value in read_settings(out / _META_NAME, keys)}
     if meta.get("format") != "lightmc-model v1":
         raise ParseError(f"{out}: unrecognized model bundle")
     matrix = codebook.load_matrix(out / _FILES["codebook"])

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shutil
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from lightmc import cli, data_io, synthetic, trainer
+from lightmc.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,16 @@ class TestTrain:
         assert code == 0
         capsys.readouterr()
 
+    def test_empty_validation_share_exits_one(self, blob_file, tmp_path, capsys):
+        # 1% of 40 rows per class rounds to no validation row at all
+        train_path, _ = blob_file
+        out = tmp_path / "novalid"
+        code = run(["train", "--data", str(train_path), "--out", str(out),
+                    "--valid-fraction", "0.01"] + FAST)
+        assert code == 1
+        assert "validation" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         code = run(["train", "--data", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "x")] + FAST)
@@ -145,6 +157,21 @@ class TestConfigFile:
                     "--config", str(config)])
         assert code == 1
         assert repr(line.partition("=")[0]) in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["rounds=2\nrounds=3\n", "start_round=2\nstart-round=3\n"]
+    )
+    def test_repeated_config_key_exits_one(self, text, blob_file, tmp_path, capsys):
+        train_path, _ = blob_file
+        config = tmp_path / "twice.cfg"
+        config.write_text(text)
+        out = tmp_path / "none"
+        code = run(["train", "--data", str(train_path), "--out", str(out),
+                    "--config", str(config)])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "line 2" in err and str(config) in err and "repeated" in err
         assert not out.exists()
 
     def test_bad_learner_flag_exits_two(self, blob_file, tmp_path, capsys):
@@ -244,6 +271,18 @@ def _set_root_field(lines, field, value):
     lines[root] = " ".join(fields)
 
 
+def _edit_tree_line(lines, offset, edit):
+    """Replace the fields of the line `offset` lines after the first tree
+    header by `edit(fields)`."""
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("tree 0 ")) + offset
+    lines[at] = " ".join(edit(lines[at].split()))
+
+
+def _keep_first(lines, count):
+    assert len(lines) > count
+    del lines[count:]
+
+
 def _set_first_leaf_value(lines, value):
     leaf = next(i for i, ln in enumerate(lines) if ln.split()[1:2] == ["-1"])
     lines[leaf] = " ".join(lines[leaf].split()[:5] + [value])
@@ -284,6 +323,17 @@ CORRUPTIONS = {
     "ensemble_junk_after_last_member": ("ensemble.txt", list.append, "junk"),
     "label_map_bad_index": ("labels.map", _set_line, 0, "a\tx"),
     "label_map_name_with_space": ("labels.map", _set_line, 0, "a b\t0"),
+    "meta_repeated_mode": ("meta.txt", list.append, "mode=lightmc"),
+    "meta_unknown_key": ("meta.txt", list.append, "num_clases=3"),
+    "tree_node_extra_field": ("ensemble.txt", _edit_tree_line, 1, lambda f: f + ["0"]),
+    "tree_node_without_value": ("ensemble.txt", _edit_tree_line, 1, lambda f: f[:5]),
+    "tree_header_extra_field": ("ensemble.txt", _edit_tree_line, 0, lambda f: f + ["x"]),
+    "tree_header_wrong_stage": (
+        "ensemble.txt", _edit_tree_line, 0, lambda f: [f[0], "5", f[2]]
+    ),
+    "tree_header_without_size": ("ensemble.txt", _edit_tree_line, 0, lambda f: f[:2]),
+    "ensemble_cut_after_12_lines": ("ensemble.txt", _keep_first, 12),
+    "ensemble_cut_after_40_lines": ("ensemble.txt", _keep_first, 40),
 }
 
 
@@ -305,7 +355,10 @@ class TestBadInput:
         _edit_lines(bundle / name, edit, *args)
         train_path, _ = blob_file
         assert run(["evaluate", str(bundle), str(train_path)]) == 1
-        assert name in assert_one_error_line(capsys)
+        err = assert_one_error_line(capsys)
+        assert name in err
+        if name == "ensemble.txt":
+            assert re.search(r"line \d+", err), err
 
     def test_linear_swap_alone_is_a_valid_bundle(
         self, overfit_bundle, blob_file, tmp_path, capsys
@@ -325,8 +378,9 @@ class TestBadInput:
             "features 8\nmember 0 0\n",
             "lightmc-ensemble v1 1 linear_sgd\nalpha 0.1\n"
             "features 1000000000000\nmember 0\nweights 1 0.5\nbias 0.0\n",
+            "lightmc-ensemble v1 0 linear_sgd\nalpha 0.1\nfeatures 8\n",
         ],
-        ids=["members", "features"],
+        ids=["members", "features", "no_members"],
     )
     def test_ensemble_header_beyond_its_body(
         self, text, overfit_bundle, blob_file, tmp_path, capsys
@@ -355,17 +409,6 @@ class TestBadInput:
         bad.write_bytes(train_path.read_bytes() + b"0 1:\xff\n")
         assert run(["evaluate", str(overfit_bundle), str(bad)]) == 1
         assert_one_error_line(capsys)
-
-    def test_non_integer_threads_variable(self, blob_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LIGHTMC_THREADS", "abc")
-        train_path, _ = blob_file
-        assert FAST[-2:] == ["--threads", "1"]
-        code = run(
-            ["train", "--data", str(train_path), "--out", str(tmp_path / "m")] + FAST[:-2]
-        )
-        assert code == 1
-        assert "LIGHTMC_THREADS" in assert_one_error_line(capsys)
-
 
     @pytest.mark.parametrize(
         "sizes",
@@ -509,13 +552,11 @@ class TestParsing:
         with pytest.raises(InvalidArg):
             cli._parse_pair("4,4")
 
-    def test_threads_env_fallback(self, monkeypatch):
-        import argparse
-
+    def test_defaults_come_from_train_config(self, monkeypatch):
+        # no flag, file or environment variable sets threads by default
         monkeypatch.setenv("LIGHTMC_THREADS", "3")
-        args = argparse.Namespace(config=None)
-        opts = cli._resolve_options(args)
-        assert opts["threads"] == 3
+        opts = cli._resolve_options(argparse.Namespace(config=None))
+        assert cli._train_config(opts) == TrainConfig()
 
     def test_readme_synopsis_lists_the_train_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -524,3 +565,5 @@ class TestParsing:
         flags = {opt for opt in train._option_string_actions if opt.startswith("--")}
         flags.discard("--help")
         assert set(re.findall(r"--[a-z0-9-]+", synopsis)) == flags
+        flagless = re.search(r"The keys (.*?) have no flag", readme, re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", flagless)) == cli._FILE_ONLY

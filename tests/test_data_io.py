@@ -153,12 +153,15 @@ class TestBundleReaders:
         assert info.value.line == line and str(path) in str(info.value)
 
     def test_settings_skip_comments_and_blank_lines(self, tmp_path):
-        path = write(tmp_path, "# note\n\n a = 1 \nb=x=y\n", "settings.txt")
-        assert list(data_io.read_settings(path)) == [(3, "a", "1"), (4, "b", "x=y")]
-        path = write(tmp_path, "a=1\njunk\n", "settings.txt")
-        with pytest.raises(ParseError) as info:
-            list(data_io.read_settings(path))
-        assert info.value.line == 2 and str(path) in str(info.value)
+        keys = {"a": "a", "b": "b", "B": "b"}
+        path = write(tmp_path, "# note\n\n a = 1 \nB=x=y\n", "settings.txt")
+        rows = list(data_io.read_settings(path, keys))
+        assert rows == [(3, "a", "1"), (4, "b", "x=y")]
+        for text in ("a=1\njunk\n", "a=1\nc=2\n", "b=1\nB=2\n", "a=1\na=1\n"):
+            path = write(tmp_path, text, "settings.txt")
+            with pytest.raises(ParseError) as info:
+                list(data_io.read_settings(path, keys))
+            assert info.value.line == 2 and str(path) in str(info.value)
 
     def test_float_row_round_trip_is_bitwise(self):
         row = np.array([0.0, -0.0, 5e-324, -1e308, 0.1, 1 / 3])

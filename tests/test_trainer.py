@@ -1,3 +1,4 @@
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +42,7 @@ class TestConfig:
         assert cfg.early_stop_rounds == 20
         assert cfg.decoder_epochs_per_call == 1
         assert cfg.learner.learning_rate == 0.1
+        assert cfg.threads == len(os.sched_getaffinity(0))
         cfg.validate()
 
     def test_validation_errors(self):
@@ -319,16 +321,6 @@ class TestJointLoopBehaviour:
         assert ova.ensemble.code_length == 20
         assert light.ensemble.code_length == 10
         assert light.ensemble.code_length < ova.ensemble.code_length
-
-    def test_mini_batch_matrix_mode_runs_deterministically(self, small_blobs):
-        train, test, _ = small_blobs
-        cfg = quick_config(matrix_batch=13)
-        a = trainer.fit(train, test, cfg)
-        b = trainer.fit(train, test, cfg)
-        assert np.array_equal(a.matrix.entries, b.matrix.entries)
-        assert np.all(np.isfinite(a.matrix.entries))
-        full = trainer.fit(train, test, quick_config())
-        assert a.matrix.entries.shape == full.matrix.entries.shape
 
 
 class TestLinearLearnerLoop:
