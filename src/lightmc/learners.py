@@ -12,12 +12,19 @@ then refreshed by `accumulate_round_outputs`: one running sum of stages.
 Trees read a dataset only through its one (feature, value)-sorted entry
 view: growing partitions `sorted_entries` down the tree, predicting slices
 `columns` by feature, and both send rows left or right with `_go_left`.
+A tree grows inside a `_Workspace`, allocated once per worker for each
+`train_round` and reused for every tree that worker fits: the root copies
+the sorted entries and their residuals into it, a node is a range of it,
+a split partitions that range in place, and the split search writes into
+its slices. A node allocates only the index arrays `np.flatnonzero`
+returns, which has no `out=`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -129,77 +136,186 @@ def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
     return side[rows]
 
 
-def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
-    """Split search over a node's slice of the presorted entry arrays.
+class _Workspace:
+    """Every array a tree grows in, allocated once and reused tree after tree.
 
-    `ents` indexes (sf, sv, srow) and is ascending, so the node's entries
-    arrive sorted by (feature, value) with no per-node sort. The implicit
-    zero block of each feature is spliced in as one synthetic group between
-    its negative and nonnegative stored values, so thresholds on either
-    side of zero are all evaluated. The split is the first maximum of the
-    computed gains in (feature, threshold) order; a sparse feature's left
-    sums are differences of one running sum, so two identical sparse
-    columns need not get equal gains, and either may win.
+    A node is two ranges. Its stored entries are `[lo, hi)` of `feature`,
+    `value`, `row` and `residual`, in ascending (feature, value) order, and
+    its rows are `[rlo, rhi)` of `rows`, ascending. A split partitions both
+    ranges in place and keeps their order (`_partition`). The split search
+    writes its node-sized arrays into the other buffers. Those hold a node's
+    entries plus one implicit-zero group per feature, so they are `width`
+    long. A workspace serves any dataset with no more rows, stored entries
+    and features than the one it was sized from, one tree at a time.
     """
-    n = rows.shape[0]
+
+    def __init__(self, data: SparseDataset):
+        entries = data.indices.shape[0]
+        features = min(entries, data.num_features)  # segments of a node, at most
+        width = entries + features
+        rows = data.num_rows
+        # the nodes: entries in (feature, value) order, rows ascending
+        self.feature, self.row = np.empty((2, entries), dtype=np.int64)
+        self.value, self.residual = np.empty((2, entries))
+        self.rows = np.empty(rows, dtype=np.int64)
+        self.index = np.arange(max(width, rows))
+        self.side = np.empty(rows, dtype=bool)  # _go_left's, by row id
+        self.moved = np.empty(max(entries, rows))  # _partition's, and row sums'
+        # split search, per entry and zero group
+        self.flags, self.flags2 = np.empty((2, width), dtype=bool)
+        self.csum = np.empty(entries + 1)
+        self.ef, self.gf = np.empty((2, width), dtype=np.int64)
+        self.ev, self.er, self.ec, self.gv, self.gr, self.gc = np.empty((6, width))
+        # split search, per feature segment
+        self.seg_flags = np.empty(features, dtype=bool)
+        self.seg_end, self.insert_at, self.slots, self.zero_first, self.zero_feature = (
+            np.empty((5, features), dtype=np.int64)
+        )
+        self.seg_sum, self.seg_sum2, self.zero_cnt = np.empty((3, features))
+
+    def load_root(self, data: SparseDataset, residuals: np.ndarray) -> None:
+        """Gather the root: every stored entry in (feature, value) order, every row."""
+        sf, sv, srow = data.sorted_entries
+        entries = sf.shape[0]
+        self.feature[:entries] = sf
+        self.value[:entries] = sv
+        self.row[:entries] = srow
+        np.take(residuals, srow, out=self.residual[:entries], mode="clip")
+        self.rows[:data.num_rows] = self.index[:data.num_rows]
+
+
+def _take(a, indices, out):
+    """`a[indices]` written to `out`. mode="clip" because mode="raise", the
+    default, copies `out` first; every index here is in range."""
+    return np.take(a, indices, out=out[:indices.shape[0]], mode="clip")
+
+
+def _best_split(ws, lo, hi, n, total_sum, spec):
+    """Split search over a node's entries, `[lo, hi)` of the workspace.
+
+    The node's `n` rows hold `total_sum` of residual. Its entries arrive
+    sorted by (feature, value), so no node is sorted again. The implicit
+    zero block of each feature becomes one synthetic group between its
+    negative and nonnegative stored values, so thresholds on either side of
+    zero are all evaluated. Group j of the z zero groups goes to slot
+    `insert_at[j] + j` of the spliced arrays, and stored entry i to
+    `i + count(insert_at <= i)`: the order `np.insert` gives, also where two
+    insert positions are equal (a feature whose stored values are all
+    negative, followed by one with none). Every array is a slice of the
+    workspace but the index arrays `np.flatnonzero` returns, with one item
+    per feature segment or (feature, value) group of the node. The split
+    is the first maximum of the computed gains in (feature, threshold)
+    order; a sparse feature's left sums are differences of one running sum,
+    so two identical sparse columns need not get equal gains, and either
+    may win.
+    """
+    m = hi - lo
     msl = spec.min_samples_leaf
-    if n < 2 * msl or ents.size == 0:
+    if n < 2 * msl or m == 0:
         return None
-    f = sf[ents]
-    v = sv[ents]
-    r = res_full[srow[ents]]
+    f = ws.feature[lo:hi]
+    v = ws.value[lo:hi]
+    r = ws.residual[lo:hi]
 
-    seg_start = np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
-    seg_end = np.concatenate((seg_start[1:], [f.size]))
-    uniq = f[seg_start]
-    csum = np.concatenate(([0.0], np.cumsum(r)))
-    nnz_sum = csum[seg_end] - csum[seg_start]
-    nnz_cnt = (seg_end - seg_start).astype(np.float64)
-    zero_cnt = n - nnz_cnt
-    zero_sum = total_sum - nnz_sum
+    new = ws.flags[:m]
+    new[0] = True
+    np.not_equal(f[1:], f[:-1], out=new[1:])
+    seg_start = np.flatnonzero(new)
+    k = seg_start.shape[0]
+    seg_end = ws.seg_end[:k]
+    seg_end[:-1] = seg_start[1:]
+    seg_end[-1] = m
+    csum = ws.csum[:m + 1]
+    csum[0] = 0.0
+    np.cumsum(r, out=csum[1:])
+    nnz_sum = np.subtract(
+        _take(csum, seg_end, ws.seg_sum), _take(csum, seg_start, ws.seg_sum2),
+        out=ws.seg_sum[:k],
+    )
+    zero_cnt = np.subtract(seg_end, seg_start, out=ws.zero_cnt[:k])
+    np.subtract(n, zero_cnt, out=zero_cnt)  # whole numbers: exact in float64
+    zero_sum = np.subtract(total_sum, nnz_sum, out=nnz_sum)
 
-    zmask = zero_cnt > 0
-    if zmask.any():
-        cneg = np.concatenate(([0], np.cumsum(v < 0.0)))
-        insert_at = (seg_start + (cneg[seg_end] - cneg[seg_start]))[zmask]
-        ef = np.insert(f, insert_at, uniq[zmask])
-        ev = np.insert(v, insert_at, 0.0)
-        er = np.insert(r, insert_at, zero_sum[zmask])
-        ec = np.insert(np.ones(f.size), insert_at, zero_cnt[zmask])
+    zeros = np.flatnonzero(np.greater(zero_cnt, 0.0, out=ws.seg_flags[:k]))
+    z = zeros.shape[0]
+    width = m + z
+    if z:
+        negatives = ws.csum.view(np.int64)[:m]  # csum is dead
+        np.less(v, 0.0, out=negatives)
+        insert_at = np.add.reduceat(negatives, seg_start, out=ws.insert_at[:k])
+        insert_at += seg_start  # each segment's first nonnegative entry
+        slots = _take(insert_at, zeros, ws.slots)
+        slots += ws.index[:z]  # zero group j goes to insert_at[j] + j
+        stored = ws.flags2[:width]
+        stored.fill(True)
+        stored[slots] = False
+        ef, ev, er, ec = ws.ef[:width], ws.ev[:width], ws.er[:width], ws.ec[:width]
+        np.place(ef, stored, f)
+        np.place(ev, stored, v)
+        np.place(er, stored, r)
+        ec.fill(1.0)
+        ef[slots] = _take(f, _take(seg_start, zeros, ws.zero_first), ws.zero_feature)
+        ev[slots] = 0.0
+        er[slots] = _take(zero_sum, zeros, ws.seg_sum2)
+        ec[slots] = _take(zero_cnt, zeros, ws.seg_sum2)
     else:
-        ef, ev, er, ec = f, v, r, np.ones(f.size)
+        ef, ev, er, ec = f, v, r, ws.ec[:m]
+        ec.fill(1.0)
 
     # merge duplicate (feature, value) groups, including stored zeros
-    fresh = np.concatenate(([True], (ef[1:] != ef[:-1]) | (ev[1:] != ev[:-1])))
+    fresh = ws.flags[:width]
+    fresh[0] = True
+    np.not_equal(ef[1:], ef[:-1], out=fresh[1:])
+    fresh[1:] |= np.not_equal(ev[1:], ev[:-1], out=ws.flags2[:width - 1])
     gidx = np.flatnonzero(fresh)
-    gf = ef[gidx]
-    gv = ev[gidx]
-    gr = np.add.reduceat(er, gidx)
-    gc = np.add.reduceat(ec, gidx)
+    g = gidx.shape[0]
+    gf = _take(ef, gidx, ws.gf)
+    gv = _take(ev, gidx, ws.gv)
+    gr = np.add.reduceat(er, gidx, out=ws.gr[:g])
+    gc = np.add.reduceat(ec, gidx, out=ws.gc[:g])
+    del gidx
 
-    gstart = np.concatenate(([True], gf[1:] != gf[:-1]))
-    seg_id = np.cumsum(gstart) - 1
+    gstart = ws.flags[:g]
+    gstart[0] = True
+    np.not_equal(gf[1:], gf[:-1], out=gstart[1:])
+    # the spliced arrays are dead once grouped: their buffers take the sums
+    seg_id = ws.ef[:g]
+    np.copyto(seg_id, gstart)
+    np.cumsum(seg_id, out=seg_id)
+    seg_id -= 1
     starts = np.flatnonzero(gstart)
-    cum_r = np.cumsum(gr)
-    cum_c = np.cumsum(gc)
-    left_r = cum_r - (cum_r[starts] - gr[starts])[seg_id]
-    left_c = cum_c - (cum_c[starts] - gc[starts])[seg_id]
+    cum_r = np.cumsum(gr, out=ws.er[:g])
+    cum_c = np.cumsum(gc, out=ws.ec[:g])
+    # left sums: the running sum less its value before the feature's first group
+    for cum, per_group in ((cum_r, gr), (cum_c, gc)):
+        before = np.subtract(
+            _take(cum, starts, ws.seg_sum), _take(per_group, starts, ws.seg_sum2),
+            out=ws.seg_sum[:starts.shape[0]],
+        )
+        np.subtract(cum, _take(before, seg_id, ws.ev), out=cum)
+    left_r, left_c = cum_r, cum_c
 
-    cand = np.flatnonzero(np.concatenate((gf[1:] == gf[:-1], [False])))
-    if cand.size == 0:
+    within = ws.flags2[:g]
+    np.logical_not(gstart[1:], out=within[:-1])  # gf[1:] == gf[:-1]
+    within[-1] = False
+    cand = np.flatnonzero(within)
+    c = cand.shape[0]
+    if c == 0:
         return None
-    n_left = left_c[cand]
-    s_left = left_r[cand]
-    n_right = n - n_left
-    s_right = total_sum - s_left
-    ok = (n_left >= msl) & (n_right >= msl)
+    # per candidate; the per-group sums are dead once gathered
+    n_left = _take(left_c, cand, ws.gc)
+    s_left = _take(left_r, cand, ws.gr)
+    n_right = np.subtract(n, n_left, out=left_c[:c])
+    s_right = np.subtract(total_sum, s_left, out=left_r[:c])
+    ok = np.greater_equal(n_left, msl, out=ws.flags[:c])
+    ok &= np.greater_equal(n_right, msl, out=ws.flags2[:c])
     if not ok.any():
         return None
     parent = total_sum * total_sum / n
-    gain = np.full(cand.shape[0], -np.inf)
-    gain[ok] = (
-        s_left[ok] ** 2 / n_left[ok] + s_right[ok] ** 2 / n_right[ok] - parent
-    )
+    gain = np.divide(np.square(s_left, out=s_left), n_left, out=s_left)
+    gain += np.divide(np.square(s_right, out=s_right), n_right, out=s_right)
+    gain -= parent
+    np.copyto(gain, -np.inf, where=np.logical_not(ok, out=ok))
     best = int(np.argmax(gain))
     if gain[best] <= 1e-12 * (1.0 + abs(parent)):
         return None
@@ -210,36 +326,62 @@ def _best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
     return float(gain[best]), int(gf[cand[best]]), float(thr)
 
 
-def _fit_tree(data, residuals, spec) -> _Tree:
-    """Grow one least-squares tree best-first under the leaf cap.
+def _partition(keep_left, arrays, moved) -> int:
+    """Reorder each of `arrays` in place: the entries where `keep_left` is
+    True first, then the rest, each part in its old order. Returns the size
+    of the first part. `keep_left` is overwritten; `moved` is scratch of
+    8-byte items at least as long as the arrays."""
+    left = np.flatnonzero(keep_left)
+    right = np.flatnonzero(np.logical_not(keep_left, out=keep_left))
+    for a in arrays:
+        out = moved[:a.shape[0]].view(a.dtype)
+        _take(a, left, out)
+        _take(a, right, out[left.shape[0]:])
+        a[:] = out
+    return left.shape[0]
 
-    The heap holds every leaf that has a split: (-gain, node id, feature,
-    threshold, the leaf's rows, its entries). Node ids rise in the order
-    leaves are searched, so equal gains split the earlier leaf first.
+
+def _fit_tree(data, residuals, spec, ws: _Workspace) -> _Tree:
+    """Grow one least-squares tree best-first under the leaf cap, in `ws`.
+
+    The root gathers every stored entry and its residual into the workspace
+    once; after that a node is a range of it, and a split partitions the
+    node's range in place, so no node copies its entries. The heap holds
+    every leaf that has a split: (-gain, node id, feature, threshold, the
+    leaf's entry range, its row range). Node ids rise in the order leaves
+    are searched, so equal gains split the earlier leaf first.
     """
-    sf, sv, srow = data.sorted_entries
+    ws.load_root(data, residuals)
     nodes: list[list] = []  # per node: feature, threshold, left, right, value
-    side_full = np.empty(data.num_rows, dtype=bool)
     heap: list[tuple] = []
 
-    def add_leaf(rows: np.ndarray, ents: np.ndarray) -> None:
+    def add_leaf(lo: int, hi: int, rlo: int, rhi: int) -> None:
         node_id = len(nodes)
-        total = float(residuals[rows].sum())
-        nodes.append([-1, 0.0, -1, -1, total / rows.size])
-        split = _best_split(sf, sv, srow, ents, rows, residuals, total, spec)
+        n = rhi - rlo
+        total = float(_take(residuals, ws.rows[rlo:rhi], ws.moved).sum())
+        nodes.append([-1, 0.0, -1, -1, total / n])
+        split = _best_split(ws, lo, hi, n, total, spec)
         if split is not None:
             gain, feat, thr = split
-            heapq.heappush(heap, (-gain, node_id, feat, thr, rows, ents))
+            heapq.heappush(heap, (-gain, node_id, feat, thr, lo, hi, rlo, rhi))
 
-    add_leaf(np.arange(data.num_rows), np.arange(sf.shape[0]))
+    add_leaf(0, data.indices.shape[0], 0, data.num_rows)
     while heap and len(nodes) < 2 * spec.max_leaves - 1:  # L leaves are 2L - 1 nodes
-        _, node_id, feat, thr, rows, ents = heapq.heappop(heap)
-        split_ents = ents[sf[ents] == feat]
-        side = _go_left(rows, srow[split_ents], sv[split_ents], thr, side_full)
-        ent_side = side_full[srow[ents]]
+        _, node_id, feat, thr, lo, hi, rlo, rhi = heapq.heappop(heap)
+        f = ws.feature[lo:hi]
+        a, b = lo + f.searchsorted(feat), lo + f.searchsorted(feat, "right")
+        rows = ws.rows[rlo:rhi]
+        side = _go_left(rows, ws.row[a:b], ws.value[a:b], thr, ws.side)
+        ent_side = _take(ws.side, ws.row[lo:hi], ws.flags)
         nodes[node_id][:4] = feat, thr, len(nodes), len(nodes) + 1
-        add_leaf(rows[side], ents[ent_side])
-        add_leaf(rows[~side], ents[~ent_side])
+        mid = lo + _partition(
+            ent_side,
+            (ws.feature[lo:hi], ws.value[lo:hi], ws.row[lo:hi], ws.residual[lo:hi]),
+            ws.moved,
+        )
+        rmid = rlo + _partition(side, (rows,), ws.moved)
+        add_leaf(lo, mid, rlo, rmid)
+        add_leaf(mid, hi, rmid, rhi)
     return _Tree(*zip(*nodes))
 
 
@@ -311,9 +453,9 @@ def train_round(
     round one): trees fit one new stage per column to the residuals, the
     linear learner runs its SGD epochs from its current weights. Then
     `accumulate_round_outputs` brings `outputs` up to date. Only tree
-    fitting runs on `threads` threads, and those threads write no buffer;
-    the linear learner updates all L columns per instance, so permuting
-    columns permutes outputs exactly.
+    fitting runs on `threads` threads, and each writes only the workspace
+    it holds while fitting a tree; the linear learner updates all L
+    columns per instance, so permuting columns permutes outputs exactly.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -327,14 +469,22 @@ def train_round(
     targets = matrix.entries[labels]
     if ensemble.is_boosting:
         data.sorted_entries  # build the shared sorted view outside worker threads
+        columns = range(ensemble.code_length)
+        workers = max(1, min(threads, len(columns)))
+        spare = queue.SimpleQueue()  # one workspace per worker, reused for its trees
+        for _ in range(workers):
+            spare.put(_Workspace(data))
 
         def fit_column(j: int) -> None:
             residuals = targets[:, j] - outputs[:, j]
-            ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec))
+            ws = spare.get()
+            try:
+                ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec, ws))
+            finally:
+                spare.put(ws)
 
-        columns = range(ensemble.code_length)
-        if threads > 1 and len(columns) > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(columns))) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(fit_column, columns))
         else:  # on the calling thread, where profilers look
             list(map(fit_column, columns))

@@ -1,7 +1,10 @@
+import heapq
+import resource
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightmc import codebook, data_io, learners
 from lightmc.errors import (
@@ -17,6 +20,7 @@ from lightmc.learners import (
     LearnerSpec,
     _best_split,
     _fit_tree,
+    _Workspace,
 )
 
 
@@ -30,11 +34,212 @@ def random_sparse(rng, n, num_features, zero_fraction=0.4, num_classes=3):
 
 def root_split(data, residuals, total_sum, spec):
     """Best split of the root node: every row and every stored entry."""
-    sf, sv, srow = data.sorted_entries
-    return _best_split(
-        sf, sv, srow, np.arange(sf.shape[0]), np.arange(data.num_rows),
-        residuals, total_sum, spec,
+    ws = _Workspace(data)
+    ws.load_root(data, residuals)
+    return _best_split(ws, 0, data.indices.size, data.num_rows, total_sum, spec)
+
+
+def reference_best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
+    """The split search as it was before the tree workspace, kept verbatim as
+    the exact oracle of `_best_split`: it splices with `np.insert`.
+
+    Split search over a node's slice of the presorted entry arrays.
+
+    `ents` indexes (sf, sv, srow) and is ascending, so the node's entries
+    arrive sorted by (feature, value) with no per-node sort. The implicit
+    zero block of each feature is spliced in as one synthetic group between
+    its negative and nonnegative stored values, so thresholds on either
+    side of zero are all evaluated. The split is the first maximum of the
+    computed gains in (feature, threshold) order; a sparse feature's left
+    sums are differences of one running sum, so two identical sparse
+    columns need not get equal gains, and either may win.
+    """
+    n = rows.shape[0]
+    msl = spec.min_samples_leaf
+    if n < 2 * msl or ents.size == 0:
+        return None
+    f = sf[ents]
+    v = sv[ents]
+    r = res_full[srow[ents]]
+
+    seg_start = np.flatnonzero(np.concatenate(([True], f[1:] != f[:-1])))
+    seg_end = np.concatenate((seg_start[1:], [f.size]))
+    uniq = f[seg_start]
+    csum = np.concatenate(([0.0], np.cumsum(r)))
+    nnz_sum = csum[seg_end] - csum[seg_start]
+    nnz_cnt = (seg_end - seg_start).astype(np.float64)
+    zero_cnt = n - nnz_cnt
+    zero_sum = total_sum - nnz_sum
+
+    zmask = zero_cnt > 0
+    if zmask.any():
+        cneg = np.concatenate(([0], np.cumsum(v < 0.0)))
+        insert_at = (seg_start + (cneg[seg_end] - cneg[seg_start]))[zmask]
+        ef = np.insert(f, insert_at, uniq[zmask])
+        ev = np.insert(v, insert_at, 0.0)
+        er = np.insert(r, insert_at, zero_sum[zmask])
+        ec = np.insert(np.ones(f.size), insert_at, zero_cnt[zmask])
+    else:
+        ef, ev, er, ec = f, v, r, np.ones(f.size)
+
+    # merge duplicate (feature, value) groups, including stored zeros
+    fresh = np.concatenate(([True], (ef[1:] != ef[:-1]) | (ev[1:] != ev[:-1])))
+    gidx = np.flatnonzero(fresh)
+    gf = ef[gidx]
+    gv = ev[gidx]
+    gr = np.add.reduceat(er, gidx)
+    gc = np.add.reduceat(ec, gidx)
+
+    gstart = np.concatenate(([True], gf[1:] != gf[:-1]))
+    seg_id = np.cumsum(gstart) - 1
+    starts = np.flatnonzero(gstart)
+    cum_r = np.cumsum(gr)
+    cum_c = np.cumsum(gc)
+    left_r = cum_r - (cum_r[starts] - gr[starts])[seg_id]
+    left_c = cum_c - (cum_c[starts] - gc[starts])[seg_id]
+
+    cand = np.flatnonzero(np.concatenate((gf[1:] == gf[:-1], [False])))
+    if cand.size == 0:
+        return None
+    n_left = left_c[cand]
+    s_left = left_r[cand]
+    n_right = n - n_left
+    s_right = total_sum - s_left
+    ok = (n_left >= msl) & (n_right >= msl)
+    if not ok.any():
+        return None
+    parent = total_sum * total_sum / n
+    gain = np.full(cand.shape[0], -np.inf)
+    gain[ok] = (
+        s_left[ok] ** 2 / n_left[ok] + s_right[ok] ** 2 / n_right[ok] - parent
     )
+    best = int(np.argmax(gain))
+    if gain[best] <= 1e-12 * (1.0 + abs(parent)):
+        return None
+    lo_v, hi_v = gv[cand[best]], gv[cand[best] + 1]
+    thr = 0.5 * (lo_v + hi_v)
+    if thr >= hi_v:  # midpoint rounded up to the right value; keep the cut exact
+        thr = lo_v
+    return float(gain[best]), int(gf[cand[best]]), float(thr)
+
+
+
+def reference_fit_tree(data, residuals, spec):
+    """The tree grower as it was before the workspace, kept verbatim as the
+    exact oracle of `_fit_tree`: every node owns its row and entry arrays.
+
+    Grow one least-squares tree best-first under the leaf cap.
+
+    The heap holds every leaf that has a split: (-gain, node id, feature,
+    threshold, the leaf's rows, its entries). Node ids rise in the order
+    leaves are searched, so equal gains split the earlier leaf first.
+    """
+    sf, sv, srow = data.sorted_entries
+    nodes: list[list] = []  # per node: feature, threshold, left, right, value
+    side_full = np.empty(data.num_rows, dtype=bool)
+    heap: list[tuple] = []
+
+    def add_leaf(rows: np.ndarray, ents: np.ndarray) -> None:
+        node_id = len(nodes)
+        total = float(residuals[rows].sum())
+        nodes.append([-1, 0.0, -1, -1, total / rows.size])
+        split = reference_best_split(sf, sv, srow, ents, rows, residuals, total, spec)
+        if split is not None:
+            gain, feat, thr = split
+            heapq.heappush(heap, (-gain, node_id, feat, thr, rows, ents))
+
+    add_leaf(np.arange(data.num_rows), np.arange(sf.shape[0]))
+    while heap and len(nodes) < 2 * spec.max_leaves - 1:  # L leaves are 2L - 1 nodes
+        _, node_id, feat, thr, rows, ents = heapq.heappop(heap)
+        split_ents = ents[sf[ents] == feat]
+        side = learners._go_left(rows, srow[split_ents], sv[split_ents], thr, side_full)
+        ent_side = side_full[srow[ents]]
+        nodes[node_id][:4] = feat, thr, len(nodes), len(nodes) + 1
+        add_leaf(rows[side], ents[ent_side])
+        add_leaf(rows[~side], ents[~ent_side])
+    return learners._Tree(*zip(*nodes))
+
+
+def assert_same_tree(got, want):
+    for name in learners._Tree.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def node_split(data, residuals, rows, spec, offset=0):
+    """(`_best_split`, `reference_best_split`) of the node holding `rows`
+    (ascending) and every stored entry of them. The workspace holds the
+    node's entries at `offset`; the rest of it is left as garbage."""
+    sf, sv, srow = data.sorted_entries
+    ents = np.flatnonzero(np.isin(srow, rows))
+    total = float(residuals[rows].sum())
+    ws = _Workspace(data)
+    node = slice(offset, offset + ents.size)
+    ws.feature[node] = sf[ents]
+    ws.value[node] = sv[ents]
+    ws.row[node] = srow[ents]
+    ws.residual[node] = residuals[srow[ents]]
+    got = _best_split(ws, node.start, node.stop, rows.size, total, spec)
+    want = reference_best_split(sf, sv, srow, ents, rows, residuals, total, spec)
+    return got, want
+
+
+# how one feature's column is stored: which rows hold an entry, and the
+# signs of the stored values (explicit zeros count as nonnegative)
+_LAYOUTS = [
+    (rows, signs)
+    for rows in ("every", "some", "none")
+    for signs in ("negative", "nonnegative", "mixed")
+]
+
+
+@st.composite
+def split_nodes(draw):
+    """A small dataset, a node of it (the root or a subset of its rows),
+    residuals and a leaf minimum. Values come from a small set, so ties,
+    stored zeros and duplicate (feature, value) groups are common, or are
+    continuous."""
+    n = draw(st.integers(2, 24))
+    layouts = draw(st.lists(st.sampled_from(_LAYOUTS), min_size=1, max_size=5))
+    discrete = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((n, len(layouts)))
+    stored = np.zeros((n, len(layouts)), dtype=bool)
+    for f, (rows, signs) in enumerate(layouts):
+        stored[:, f] = {"every": True, "some": rng.random(n) < 0.5, "none": False}[rows]
+        if discrete:
+            column = rng.choice([0.0, 0.5, 1.0, 2.0], n)
+        else:
+            column = np.abs(rng.normal(size=n)) * (rng.random(n) > 0.2)
+        if signs == "negative":
+            column = -column - 0.25
+        elif signs == "mixed":
+            column *= rng.choice([-1.0, 1.0], n)
+        dense[:, f] = column
+    dense[~stored] = 0.0
+    r, c = np.nonzero(stored)
+    data = data_io.SparseDataset(
+        indptr=np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+        indices=c,
+        values=dense[r, c],
+        labels=np.zeros(n, dtype=np.int64),
+        num_features=len(layouts),
+        num_classes=1,
+        label_names=("0",),
+    )
+    if draw(st.booleans()):
+        residuals = rng.integers(-2, 3, n).astype(np.float64)  # exact ties
+    else:
+        residuals = rng.normal(size=n)
+    rows = np.arange(n)
+    if draw(st.booleans()):  # a child node: a nonempty subset of the rows
+        rows = rows[rng.random(n) < 0.6]
+        if rows.size == 0:
+            rows = np.array([int(rng.integers(n))])
+    entries = int(np.isin(data.sorted_entries[2], rows).sum())
+    offset = draw(st.integers(0, data.indices.size - entries))
+    msl = draw(st.integers(1, 3))
+    return data, residuals, rows, LearnerSpec(min_samples_leaf=msl), offset
 
 
 def _evaluate_split(dense, residuals, feature, threshold):
@@ -153,6 +358,32 @@ class TestSplitSearch:
         assert root_split(data, np.full(30, 2.5), 75.0, spec) is None
 
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(node=split_nodes())
+    def test_matches_the_insert_splice_bit_for_bit(self, node):
+        got, want = node_split(*node)
+        assert repr(got) == repr(want)
+
+    def test_coincident_zero_groups_keep_insert_order(self):
+        # feature 0 stores only negative values and feature 1 only positive
+        # ones, and both have implicit zeros: both zero groups are inserted
+        # before sorted entry 3, the first of feature 1
+        dense = np.array(
+            [[-1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 0.0]]
+        )
+        data = data_io.from_dense(dense, np.zeros(6, dtype=np.int64))
+        sf, sv, _ = data.sorted_entries
+        assert sf.tolist() == [0, 0, 0, 1, 1] and sv.tolist() == [-3, -2, -1, 1, 2]
+        residuals = np.array([-1.0, -1.0, -1.0, 5.0, 5.0, -1.0])
+        # with a leaf minimum of 3, feature 1's right side (2 rows) is too
+        # small, and feature 0 wins
+        for msl, split in ((1, (1, 0.5)), (2, (1, 0.5)), (3, (0, -0.5))):
+            spec = LearnerSpec(min_samples_leaf=msl)
+            got, want = node_split(data, residuals, np.arange(6), spec)
+            assert repr(got) == repr(want)
+            assert got[1:] == split
+
+
 class TestTreeFitting:
     def test_constant_targets_one_round(self):
         rng = np.random.default_rng(3)
@@ -181,17 +412,59 @@ class TestTreeFitting:
             mse_two = np.mean((learners.predict_all(two, data)[:, j] - targets) ** 2)
             assert mse_two <= mse_one + 1e-12
 
+    def test_reused_workspace_grows_what_fresh_ones_grow(self):
+        rng = np.random.default_rng(23)
+        large, _ = random_sparse(rng, 120, 8)
+        small, _ = random_sparse(rng, 50, 5)  # fewer rows, entries and features
+        assert small.indices.size < large.indices.size
+        fits = {
+            "a": (large, rng.normal(size=120)),
+            "b": (large, rng.normal(size=120)),
+            "small": (small, rng.normal(size=50)),
+        }
+        for spec in (LearnerSpec(max_leaves=10), LearnerSpec(min_samples_leaf=3)):
+            fresh = {}
+            for name, (data, residuals) in fits.items():
+                fresh[name] = _fit_tree(data, residuals, spec, _Workspace(data))
+                assert_same_tree(fresh[name], reference_fit_tree(data, residuals, spec))
+            for order in (("a", "b", "small"), ("b", "a", "small")):
+                ws = _Workspace(large)
+                for name in order:
+                    data, residuals = fits[name]
+                    assert_same_tree(_fit_tree(data, residuals, spec, ws), fresh[name])
+
+    def test_reused_workspace_takes_few_page_faults(self):
+        # about 50k stored entries: each node-sized float64 array of the root
+        # is about 400 KB, above glibc's default 128 KB mmap threshold. The
+        # grower that allocated them per node took about 20k minor page
+        # faults for this tree; growing it in a used workspace takes almost none
+        rng = np.random.default_rng(29)
+        dense = rng.normal(size=(1000, 100))
+        dense[rng.random((1000, 100)) < 0.5] = 0.0
+        data = data_io.from_dense(dense, rng.integers(0, 3, size=1000))
+        assert 45_000 < data.indices.size < 55_000
+        spec = LearnerSpec(max_leaves=31)
+        ws = _Workspace(data)
+        _fit_tree(data, rng.normal(size=1000), spec, ws)  # warm-up
+        residuals = rng.normal(size=1000)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _fit_tree(data, residuals, spec, ws)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2000
+
     def test_tree_predictions_reduce_sse(self):
         rng = np.random.default_rng(9)
         data, _ = random_sparse(rng, 100, 8)
         residuals = rng.normal(size=100)
-        preds = _fit_tree(data, residuals, LearnerSpec(max_leaves=16)).predict(data)
+        spec = LearnerSpec(max_leaves=16)
+        preds = _fit_tree(data, residuals, spec, _Workspace(data)).predict(data)
         assert ((residuals - preds) ** 2).sum() < (residuals**2).sum()
 
     def test_unseen_predictions_match_dense_walk(self):
         rng = np.random.default_rng(19)
         data, _ = random_sparse(rng, 80, 5)
-        fitted = _fit_tree(data, rng.normal(size=80), LearnerSpec(max_leaves=12))
+        spec = LearnerSpec(max_leaves=12)
+        fitted = _fit_tree(data, rng.normal(size=80), spec, _Workspace(data))
         # thresholds below and at zero, on a feature the other split reuses
         handmade = learners._Tree(
             feature=[0, 1, 0, -1, -1, -1, -1],
