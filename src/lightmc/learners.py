@@ -17,7 +17,9 @@ A tree grows inside a `_Workspace`, allocated once per worker for each
 the sorted entries and their residuals into it, a node is a range of it,
 a split partitions that range in place, and the split search writes into
 its slices. A node allocates only the index arrays `np.flatnonzero`
-returns, which has no `out=`.
+returns, which has no `out=`. The split search groups only a node's stored
+entries: a feature's implicit zeros are the node's totals less its stored
+entries, and are never materialised. Ties go to the lowest feature.
 """
 
 from __future__ import annotations
@@ -143,35 +145,28 @@ class _Workspace:
     `value`, `row` and `residual`, in ascending (feature, value) order, and
     its rows are `[rlo, rhi)` of `rows`, ascending. A split partitions both
     ranges in place and keeps their order (`_partition`). The split search
-    writes its node-sized arrays into the other buffers. Those hold a node's
-    entries plus one implicit-zero group per feature, so they are `width`
-    long. A workspace serves any dataset with no more rows, stored entries
-    and features than the one it was sized from, one tree at a time.
+    writes its node-sized arrays into the other buffers, one item per stored
+    entry or (feature, value) group of the node. A workspace serves any
+    dataset with no more rows and stored entries than the one it was sized
+    from, one tree at a time.
     """
 
     def __init__(self, data: SparseDataset):
         entries = data.indices.shape[0]
-        features = min(entries, data.num_features)  # segments of a node, at most
-        width = entries + features
         rows = data.num_rows
         # the nodes: entries in (feature, value) order, rows ascending
         self.feature, self.row = np.empty((2, entries), dtype=np.int64)
         self.value, self.residual = np.empty((2, entries))
         self.rows = np.empty(rows, dtype=np.int64)
-        self.index = np.arange(max(width, rows))
+        self.index = np.arange(rows)
         self.side = np.empty(rows, dtype=bool)  # _go_left's, by row id
-        self.moved = np.empty(max(entries, rows))  # _partition's, and row sums'
-        # split search, per entry and zero group
-        self.flags, self.flags2 = np.empty((2, width), dtype=bool)
+        # _partition's, row sums' and the split search's scratch
+        self.moved = np.empty(max(entries, rows))
+        # split search, per entry and group
+        self.flags, self.flags2 = np.empty((2, entries), dtype=bool)
         self.csum = np.empty(entries + 1)
-        self.ef, self.gf = np.empty((2, width), dtype=np.int64)
-        self.ev, self.er, self.ec, self.gv, self.gr, self.gc = np.empty((6, width))
-        # split search, per feature segment
-        self.seg_flags = np.empty(features, dtype=bool)
-        self.seg_end, self.insert_at, self.slots, self.zero_first, self.zero_feature = (
-            np.empty((5, features), dtype=np.int64)
-        )
-        self.seg_sum, self.seg_sum2, self.zero_cnt = np.empty((3, features))
+        self.start, self.end = np.empty((2, entries), dtype=np.int64)
+        self.count, self.gain, self.other = np.empty((3, entries))
 
     def load_root(self, data: SparseDataset, residuals: np.ndarray) -> None:
         """Gather the root: every stored entry in (feature, value) order, every row."""
@@ -190,24 +185,34 @@ def _take(a, indices, out):
     return np.take(a, indices, out=out[:indices.shape[0]], mode="clip")
 
 
+# a gain this close to the best, relative to the two side terms the best gain
+# is computed from, ties with it; the lowest (feature, threshold) tie wins
+_TIE = 1e-12
+
+
 def _best_split(ws, lo, hi, n, total_sum, spec):
     """Split search over a node's entries, `[lo, hi)` of the workspace.
 
     The node's `n` rows hold `total_sum` of residual. Its entries arrive
-    sorted by (feature, value), so no node is sorted again. The implicit
-    zero block of each feature becomes one synthetic group between its
-    negative and nonnegative stored values, so thresholds on either side of
-    zero are all evaluated. Group j of the z zero groups goes to slot
-    `insert_at[j] + j` of the spliced arrays, and stored entry i to
-    `i + count(insert_at <= i)`: the order `np.insert` gives, also where two
-    insert positions are equal (a feature whose stored values are all
-    negative, followed by one with none). Every array is a slice of the
-    workspace but the index arrays `np.flatnonzero` returns, with one item
-    per feature segment or (feature, value) group of the node. The split
-    is the first maximum of the computed gains in (feature, threshold)
-    order; a sparse feature's left sums are differences of one running sum,
-    so two identical sparse columns need not get equal gains, and either
-    may win.
+    sorted by (feature, value), so no node is sorted again, and only they
+    are grouped: the rows a feature does not store hold its implicit zeros,
+    which are never materialised. Each (feature, value) group proposes one
+    cut and sums only its stored side of it. A negative group proposes the
+    cut just above it, and its left side is a prefix of its feature's
+    stored groups. A positive group proposes the cut just below it, and
+    its right side is a suffix of them. So the zero block, implicit and
+    stored zeros alike, lies right of every negative cut and left of every
+    positive one; a stored-zero group proposes no cut. The other side of a
+    cut is the node's totals less the stored side, and a split's gain does
+    not depend on which side is left.
+
+    Every array is a slice of the workspace but the index arrays
+    `np.flatnonzero` returns, with one item per feature segment or group of
+    the node. Gains within `_TIE` of the best, relative to its two side
+    terms, tie, and the lowest (feature, threshold) among them wins: a
+    stored side's sum is a difference of one running sum over the node, so
+    two identical columns get gains that differ in their last bits, and the
+    rounding of a gain grows with its terms, not with the gain.
     """
     m = hi - lo
     msl = spec.min_samples_leaf
@@ -215,115 +220,69 @@ def _best_split(ws, lo, hi, n, total_sum, spec):
         return None
     f = ws.feature[lo:hi]
     v = ws.value[lo:hi]
-    r = ws.residual[lo:hi]
-
-    new = ws.flags[:m]
-    new[0] = True
-    np.not_equal(f[1:], f[:-1], out=new[1:])
-    seg_start = np.flatnonzero(new)
-    k = seg_start.shape[0]
-    seg_end = ws.seg_end[:k]
-    seg_end[:-1] = seg_start[1:]
-    seg_end[-1] = m
     csum = ws.csum[:m + 1]
     csum[0] = 0.0
-    np.cumsum(r, out=csum[1:])
-    nnz_sum = np.subtract(
-        _take(csum, seg_end, ws.seg_sum), _take(csum, seg_start, ws.seg_sum2),
-        out=ws.seg_sum[:k],
-    )
-    zero_cnt = np.subtract(seg_end, seg_start, out=ws.zero_cnt[:k])
-    np.subtract(n, zero_cnt, out=zero_cnt)  # whole numbers: exact in float64
-    zero_sum = np.subtract(total_sum, nnz_sum, out=nnz_sum)
+    np.cumsum(ws.residual[lo:hi], out=csum[1:])
 
-    zeros = np.flatnonzero(np.greater(zero_cnt, 0.0, out=ws.seg_flags[:k]))
-    z = zeros.shape[0]
-    width = m + z
-    if z:
-        negatives = ws.csum.view(np.int64)[:m]  # csum is dead
-        np.less(v, 0.0, out=negatives)
-        insert_at = np.add.reduceat(negatives, seg_start, out=ws.insert_at[:k])
-        insert_at += seg_start  # each segment's first nonnegative entry
-        slots = _take(insert_at, zeros, ws.slots)
-        slots += ws.index[:z]  # zero group j goes to insert_at[j] + j
-        stored = ws.flags2[:width]
-        stored.fill(True)
-        stored[slots] = False
-        ef, ev, er, ec = ws.ef[:width], ws.ev[:width], ws.er[:width], ws.ec[:width]
-        np.place(ef, stored, f)
-        np.place(ev, stored, v)
-        np.place(er, stored, r)
-        ec.fill(1.0)
-        ef[slots] = _take(f, _take(seg_start, zeros, ws.zero_first), ws.zero_feature)
-        ev[slots] = 0.0
-        er[slots] = _take(zero_sum, zeros, ws.seg_sum2)
-        ec[slots] = _take(zero_cnt, zeros, ws.seg_sum2)
-    else:
-        ef, ev, er, ec = f, v, r, ws.ec[:m]
-        ec.fill(1.0)
-
-    # merge duplicate (feature, value) groups, including stored zeros
-    fresh = ws.flags[:width]
+    # feature segments and (feature, value) groups: their first entries
+    new_feature = ws.flags[:m]
+    new_feature[0] = True
+    np.not_equal(f[1:], f[:-1], out=new_feature[1:])
+    fresh = ws.flags2[:m]
     fresh[0] = True
-    np.not_equal(ef[1:], ef[:-1], out=fresh[1:])
-    fresh[1:] |= np.not_equal(ev[1:], ev[:-1], out=ws.flags2[:width - 1])
-    gidx = np.flatnonzero(fresh)
-    g = gidx.shape[0]
-    gf = _take(ef, gidx, ws.gf)
-    gv = _take(ev, gidx, ws.gv)
-    gr = np.add.reduceat(er, gidx, out=ws.gr[:g])
-    gc = np.add.reduceat(ec, gidx, out=ws.gc[:g])
-    del gidx
-
-    gstart = ws.flags[:g]
-    gstart[0] = True
-    np.not_equal(gf[1:], gf[:-1], out=gstart[1:])
-    # the spliced arrays are dead once grouped: their buffers take the sums
-    seg_id = ws.ef[:g]
-    np.copyto(seg_id, gstart)
-    np.cumsum(seg_id, out=seg_id)
+    np.not_equal(v[1:], v[:-1], out=fresh[1:])
+    fresh |= new_feature
+    group = np.flatnonzero(fresh)
+    seg_start = np.flatnonzero(new_feature)
+    g, k = group.shape[0], seg_start.shape[0]
+    seg_id = ws.moved.view(np.int64)[:g]
+    np.cumsum(_take(new_feature, group, ws.flags2), out=seg_id)
     seg_id -= 1
-    starts = np.flatnonzero(gstart)
-    cum_r = np.cumsum(gr, out=ws.er[:g])
-    cum_c = np.cumsum(gc, out=ws.ec[:g])
-    # left sums: the running sum less its value before the feature's first group
-    for cum, per_group in ((cum_r, gr), (cum_c, gc)):
-        before = np.subtract(
-            _take(cum, starts, ws.seg_sum), _take(per_group, starts, ws.seg_sum2),
-            out=ws.seg_sum[:starts.shape[0]],
-        )
-        np.subtract(cum, _take(before, seg_id, ws.ev), out=cum)
-    left_r, left_c = cum_r, cum_c
+    seg_end = ws.start[:k]  # until `start` is gathered
+    seg_end[:-1] = seg_start[1:]
+    seg_end[-1] = m
+    # each group's stored side of its cut is the entries [start, end)
+    end = _take(seg_end, seg_id, ws.end)
+    start = _take(seg_start, seg_id, ws.start)
+    group_value = _take(v, group, ws.other)
+    negative = np.less(group_value, 0.0, out=ws.flags[:g])
+    ok = np.not_equal(group_value, 0.0, out=ws.flags2[:g])
+    np.copyto(end[:-1], group[1:], where=negative[:-1])  # the last group's end is m
+    np.copyto(start, group, where=np.logical_not(negative, out=negative))
 
-    within = ws.flags2[:g]
-    np.logical_not(gstart[1:], out=within[:-1])  # gf[1:] == gf[:-1]
-    within[-1] = False
-    cand = np.flatnonzero(within)
-    c = cand.shape[0]
-    if c == 0:
-        return None
-    # per candidate; the per-group sums are dead once gathered
-    n_left = _take(left_c, cand, ws.gc)
-    s_left = _take(left_r, cand, ws.gr)
-    n_right = np.subtract(n, n_left, out=left_c[:c])
-    s_right = np.subtract(total_sum, s_left, out=left_r[:c])
-    ok = np.greater_equal(n_left, msl, out=ws.flags[:c])
-    ok &= np.greater_equal(n_right, msl, out=ws.flags2[:c])
-    if not ok.any():
-        return None
+    count = np.subtract(end, start, out=ws.count[:g])
+    stored = np.subtract(_take(csum, end, ws.gain), _take(csum, start, ws.other),
+                         out=ws.gain[:g])
+    ok &= np.greater_equal(count, msl, out=ws.flags[:g])
+    other = np.subtract(total_sum, stored, out=ws.other[:g])
+    gain = np.divide(np.square(stored, out=stored), count, out=stored)
+    np.subtract(n, count, out=count)
+    ok &= np.greater_equal(count, msl, out=ws.flags[:g])
+    np.divide(np.square(other, out=other), count, out=other, where=ok)
+    gain += other
     parent = total_sum * total_sum / n
-    gain = np.divide(np.square(s_left, out=s_left), n_left, out=s_left)
-    gain += np.divide(np.square(s_right, out=s_right), n_right, out=s_right)
     gain -= parent
     np.copyto(gain, -np.inf, where=np.logical_not(ok, out=ok))
-    best = int(np.argmax(gain))
-    if gain[best] <= 1e-12 * (1.0 + abs(parent)):
+    top = gain.max()
+    if top <= 1e-12 * (1.0 + abs(parent)):
         return None
-    lo_v, hi_v = gv[cand[best]], gv[cand[best] + 1]
+    best = int(np.argmax(np.greater_equal(gain, top - _TIE * (top + parent), out=ok)))
+
+    i = int(group[best])  # the winning group's first entry
+    feat, val = int(f[i]), v[i]
+    a, b = f.searchsorted(feat), f.searchsorted(feat, "right")
+    zeros = b - a < n  # the feature has implicit zeros in the node
+    if val < 0.0:
+        nxt = int(end[best])  # the next group's first entry
+        ok_next = nxt < b and not (zeros and v[nxt] > 0.0)
+        lo_v, hi_v = val, v[nxt] if ok_next else 0.0
+    else:
+        ok_prev = i > a and not (zeros and v[i - 1] < 0.0)
+        lo_v, hi_v = v[i - 1] if ok_prev else 0.0, val
     thr = 0.5 * (lo_v + hi_v)
     if thr >= hi_v:  # midpoint rounded up to the right value; keep the cut exact
         thr = lo_v
-    return float(gain[best]), int(gf[cand[best]]), float(thr)
+    return float(gain[best]), feat, float(thr)
 
 
 def _partition(keep_left, arrays, moved) -> int:

@@ -350,6 +350,25 @@ class TestSplitSearch:
         residuals = rng.normal(size=30)
         got = root_split(data, residuals, float(residuals.sum()), LearnerSpec())
         assert got is not None and got[1] == 1
+        # sparse twins, about 30% stored with mixed signs, at the root and at
+        # child nodes: their stored sides are sums at different offsets of
+        # one running sum, so their gains differ in the last bits. A large
+        # mean residual makes the side terms, and their rounding, far larger
+        # than the gain
+        rng = np.random.default_rng(41)
+        splits = 0
+        for _ in range(200):
+            n, width = int(rng.integers(10, 60)), int(rng.integers(1, 5))
+            base = rng.normal(size=(n, width)) * (rng.random((n, width)) < 0.3)
+            data = data_io.from_dense(np.hstack([base, base]), np.zeros(n, dtype=int))
+            residuals = rng.normal(size=n) + rng.choice([0.0, 100.0])
+            rows = np.arange(n)
+            if rng.random() < 0.5:
+                rows = rows[rng.random(n) < 0.6]
+            got, _ = node_split(data, residuals, rows, LearnerSpec())
+            assert got is None or got[1] < width
+            splits += got is not None
+        assert splits > 100
 
     def test_no_split_on_constant_residuals(self):
         rng = np.random.default_rng(1)
@@ -360,14 +379,29 @@ class TestSplitSearch:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(node=split_nodes())
-    def test_matches_the_insert_splice_bit_for_bit(self, node):
+    def test_matches_the_insert_splice_reference(self, node):
+        # the stored sides are summed in another order than the splice's, so a
+        # gain may differ in its last bits, and a co-optimal split may win
+        data, residuals, rows = node[:3]
         got, want = node_split(*node)
-        assert repr(got) == repr(want)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+        if got[1:] != want[1:]:
+            sf, sv, srow = data.sorted_entries
+            dense = np.zeros((data.num_rows, data.num_features))
+            dense[srow, sf] = sv
+            achieved = [
+                _evaluate_split(dense[rows], residuals[rows], *split[1:])
+                for split in (got, want)
+            ]
+            assert achieved[0] == pytest.approx(achieved[1], rel=1e-9, abs=1e-9)
 
     def test_coincident_zero_groups_keep_insert_order(self):
         # feature 0 stores only negative values and feature 1 only positive
-        # ones, and both have implicit zeros: both zero groups are inserted
-        # before sorted entry 3, the first of feature 1
+        # ones, and both have implicit zeros: both zero blocks fall between
+        # sorted entries 2 and 3, where feature 0 ends and feature 1 begins
         dense = np.array(
             [[-1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 0.0]]
         )
@@ -380,8 +414,8 @@ class TestSplitSearch:
         for msl, split in ((1, (1, 0.5)), (2, (1, 0.5)), (3, (0, -0.5))):
             spec = LearnerSpec(min_samples_leaf=msl)
             got, want = node_split(data, residuals, np.arange(6), spec)
-            assert repr(got) == repr(want)
-            assert got[1:] == split
+            assert got[0] == pytest.approx(want[0], rel=1e-9)
+            assert got[1:] == want[1:] == split
 
 
 class TestTreeFitting:
@@ -451,6 +485,15 @@ class TestTreeFitting:
         _fit_tree(data, residuals, spec, ws)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 2000
+
+    def test_workspace_holds_few_bytes_per_entry(self):
+        # the node's four arrays take 32 bytes per stored entry and the split
+        # search's scratch under 60; a slot per feature, or per entry and
+        # feature, took the splice's workspace to 123 here
+        data, _ = random_sparse(np.random.default_rng(31), 400, 30)
+        ws = _Workspace(data)
+        held = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+        assert held <= 100 * data.indices.size
 
     def test_tree_predictions_reduce_sse(self):
         rng = np.random.default_rng(9)
