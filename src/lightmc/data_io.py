@@ -9,6 +9,7 @@ is kept for reporting and for loading evaluation files consistently.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 MAX_FEATURE_INDEX = 2**31 - 1  # the 32-bit feature ids of LIBSVM-format readers
+BLOCK_LINES = 256  # lines load_sparse_text converts at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,84 +137,171 @@ def load_sparse_text(
     """Parse the sparse text format.
 
     Blank lines and lines starting with '#' are skipped. Feature indices
-    must be strictly increasing within a line. When `label_names` is given
-    the file's label tokens must all appear in it (used to keep train and
+    must be strictly increasing within a line; indices and values are read
+    with Python's `int` and `float`. When `label_names` is given the
+    file's label tokens must all appear in it (used to keep train and
     evaluation label spaces aligned); otherwise tokens are densified by
     first appearance. `num_features` acts as a lower bound on the feature
     count; indices at or beyond it raise ParseError so a model's feature
     space is never silently exceeded. A file index above MAX_FEATURE_INDEX
-    raises ParseError.
+    raises ParseError. Any bad file ends in a ParseError that names its
+    first bad line.
+
+    The file is converted `BLOCK_LINES` lines at a time, so the memory the
+    loader needs beyond the dataset is bounded by a block, not by the file.
+    A block that fails any check is parsed again line by line, to name the
+    bad line.
     """
     shift = 0 if zero_based else 1
-    top = MAX_FEATURE_INDEX - shift
     mapping: dict[str, int] = (
         {name: k for k, name in enumerate(label_names)} if label_names else {}
     )
-    frozen_mapping = label_names is not None
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    labels: list[int] = []
-    max_index = -1
+    rules = (shift, num_features, mapping, label_names is not None)
+    blocks = []  # (labels, row lengths, indices, values) of each block
+    first_line = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(_decoded(fh, path), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            token = parts[0]
-            if token not in mapping:
-                if frozen_mapping:
-                    raise ParseError(
-                        f"unknown label {token!r} (not in the retained mapping)",
-                        line=line_no,
-                    )
-                mapping[token] = len(mapping)
-            labels.append(mapping[token])
-            prev = -1
-            for item in parts[1:]:
-                try:
-                    idx_str, val_str = item.split(":", 1)
-                    idx = int(idx_str) - shift
-                    val = float(val_str)
-                except ValueError:
-                    raise ParseError(
-                        f"malformed feature entry {item!r}", line=line_no
-                    ) from None
-                if not 0 <= idx <= top:
-                    raise ParseError(
-                        f"feature index {idx + shift} outside "
-                        f"[{shift}, {MAX_FEATURE_INDEX}]",
-                        line=line_no,
-                    )
-                if idx <= prev:
-                    raise ParseError(
-                        "feature indices must be strictly increasing", line=line_no
-                    )
-                if not np.isfinite(val):
-                    raise ParseError(f"non-finite feature value {val_str!r}", line=line_no)
-                if num_features is not None and idx >= num_features:
-                    raise ParseError(
-                        f"feature index {idx + shift} exceeds the expected "
-                        f"feature count {num_features}",
-                        line=line_no,
-                    )
-                prev = idx
-                indices.append(idx)
-                values.append(val)
-                max_index = max(max_index, idx)
-            indptr.append(len(indices))
-    if not labels:
+        for lines in _line_blocks(fh, path):
+            block = _convert_block(lines, *rules)
+            if block is None:
+                block = _parse_lines(lines, first_line, *rules)
+            blocks.append(block)
+            first_line += len(lines)
+    labels, lengths, indices, values = map(np.concatenate, zip(*blocks))
+    if not labels.size:
         raise EmptyFile(f"{path}: no data lines")
     names = tuple(sorted(mapping, key=mapping.get))  # type: ignore[arg-type]
     return SparseDataset(
-        indptr=np.array(indptr),
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values),
-        labels=np.array(labels, dtype=np.int64),
-        num_features=max(max_index + 1, num_features or 0),
+        indptr=np.concatenate(([0], np.cumsum(lengths))),
+        indices=indices,
+        values=values,
+        labels=labels,
+        num_features=max(int(indices.max(initial=-1)) + 1, num_features or 0),
         num_classes=len(names),
         label_names=names,
+    )
+
+
+def _line_blocks(fh, path):
+    """The lines of an open text file, in lists of BLOCK_LINES; the last list
+    holds the rest and may be empty. Undecodable bytes end the lists with a
+    ParseError, after a last list of the lines before them."""
+    block = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == BLOCK_LINES:
+                yield block
+                block = []
+    except UnicodeDecodeError as exc:
+        yield block
+        raise ParseError(f"{path}: not {fh.encoding} text ({exc.reason})") from None
+    yield block
+
+
+def _convert_block(lines, shift, num_features, mapping, frozen):
+    """The arrays of one block of lines, converted in bulk; None if any check fails."""
+    names, lengths, text = _split_rows(lines)
+    count = int(lengths.sum())
+    # each entry holds exactly one ':', so the separators run ':', ' ', ':', ...;
+    # equal totals alone would pass the bare `5` and the `1:2:3` of `a 5 1:2:3`
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    colons = chars[(chars == ord(":")) | (chars == ord(" "))] == ord(":")
+    if text.count(":") != count or not colons[::2].all():
+        return None
+    pieces = text.replace(":", " ").split(" ") if count else []
+    try:
+        raw = np.fromiter(map(int, pieces[::2]), dtype=np.int64, count=count)
+        values = np.fromiter(map(float, pieces[1::2]), dtype=np.float64, count=count)
+    except (ValueError, OverflowError):
+        return None
+    top = MAX_FEATURE_INDEX
+    if num_features is not None:
+        top = min(top, num_features - 1 + shift)
+    if count and not shift <= raw.min() <= raw.max() <= top:
+        return None
+    indices = raw - shift
+    # indices rise within a row: the pair across a row's end is exempt, and
+    # an end at the first entry or after the last one has no such pair
+    rising = np.diff(indices) > 0
+    ends = np.cumsum(lengths)
+    rising[ends[(0 < ends) & (ends < count)] - 1] = True
+    if not (rising.all() and np.isfinite(values).all()) or (
+        frozen and not mapping.keys() >= set(names)
+    ):
+        return None
+    labels = [mapping.setdefault(name, len(mapping)) for name in names]
+    return np.array(labels, dtype=np.int64), lengths, indices, values
+
+
+def _split_rows(lines):
+    """(label tokens, entry counts, all entries joined by single spaces) of
+    the data lines among `lines`. The rows' token strings are freed on
+    return, before `_convert_block` splits the text into its pieces."""
+    rows = [p for line in lines if (p := line.split()) and not p[0].startswith("#")]
+    lengths = np.array([len(parts) - 1 for parts in rows], dtype=np.int64)
+    text = " ".join([item for parts in rows for item in parts[1:]])
+    return [parts[0] for parts in rows], lengths, text
+
+
+def _parse_lines(lines, first_line, shift, num_features, mapping, frozen):
+    """The arrays of one block of lines, read line by line, or the ParseError
+    of its first bad line; `lines[0]` is line `first_line` of the file."""
+    top = MAX_FEATURE_INDEX - shift
+    labels: list[int] = []
+    lengths: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
+    for line_no, line in enumerate(lines, start=first_line):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        token = parts[0]
+        if token not in mapping:
+            if frozen:
+                raise ParseError(
+                    f"unknown label {token!r} (not in the retained mapping)",
+                    line=line_no,
+                )
+            mapping[token] = len(mapping)
+        labels.append(mapping[token])
+        prev = -1
+        for item in parts[1:]:
+            try:
+                idx_str, val_str = item.split(":", 1)
+                idx = int(idx_str) - shift
+                val = float(val_str)
+            except ValueError:
+                raise ParseError(
+                    f"malformed feature entry {item!r}", line=line_no
+                ) from None
+            if not 0 <= idx <= top:
+                raise ParseError(
+                    f"feature index {idx + shift} outside "
+                    f"[{shift}, {MAX_FEATURE_INDEX}]",
+                    line=line_no,
+                )
+            if idx <= prev:
+                raise ParseError(
+                    "feature indices must be strictly increasing", line=line_no
+                )
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {val_str!r}", line=line_no)
+            if num_features is not None and idx >= num_features:
+                raise ParseError(
+                    f"feature index {idx + shift} exceeds the expected "
+                    f"feature count {num_features}",
+                    line=line_no,
+                )
+            prev = idx
+            indices.append(idx)
+            values.append(val)
+        lengths.append(len(parts) - 1)
+    return (
+        np.array(labels, dtype=np.int64),
+        np.array(lengths, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(values, dtype=np.float64),
     )
 
 
@@ -248,14 +337,6 @@ def load_label_map(path) -> tuple[str, ...]:
             raise ParseError(f"{path}: {fault}", line=line_no)
         names.append(name)
     return tuple(names)
-
-
-def _decoded(fh, path):
-    """The lines of an open text file; undecodable bytes raise ParseError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not {fh.encoding} text ({exc.reason})") from None
 
 
 def read_lines(path, encoding: str = "ascii") -> list[str]:

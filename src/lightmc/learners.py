@@ -459,19 +459,24 @@ def _fit_linear(ensemble, data, targets) -> None:
 
     The epoch orders come from (seed, rounds_done). Each column's gradient
     is one dot product over a C-contiguous copy of its weights at the row's
-    features, the same arithmetic a single column's `w[js] @ vs` does.
+    features, the same arithmetic a single column's `w[js] @ vs` does; the
+    step is taken on that copy, which is then written back.
     """
     rng = np.random.default_rng([ensemble.seed, 7919, ensemble.rounds_done])
     lr = ensemble.spec.learning_rate
     w, b = ensemble.weights, ensemble.bias
+    indptr, indices, values = data.indptr.tolist(), data.indices, data.values
     # divergence is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(ensemble.spec.epochs_per_round):
-            for i in rng.permutation(data.num_rows):
-                js, vs = data.row(i)
-                g = np.vecdot(np.ascontiguousarray(w[:, js]), vs) + b - targets[i]
-                w[:, js] -= (lr * g)[:, None] * vs
-                b -= lr * g
+            for i in rng.permutation(data.num_rows).tolist():
+                lo, hi = indptr[i], indptr[i + 1]
+                js, vs = indices[lo:hi], values[lo:hi]
+                wj = np.ascontiguousarray(w[:, js])
+                step = lr * (np.vecdot(wj, vs) + b - targets[i])
+                wj -= step[:, None] * vs
+                w[:, js] = wj
+                b -= step
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(w))):
         raise NonFiniteGradient("linear learner diverged; lower the learning rate")
 

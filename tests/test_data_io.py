@@ -103,6 +103,55 @@ class TestLoadSparseText:
             assert vals[0] == float(k)
 
 
+class TestBlocks:
+    """The loader converts blocks of lines at once; a bad block is read again
+    line by line, so its errors name the same line as a per-line parser."""
+
+    @pytest.mark.parametrize("line", ["1 5 1:2:3", "1 1 2:3:4"])
+    def test_two_colons_balancing_a_bare_token_is_a_parse_error(self, tmp_path, line):
+        # a bare token and one with two colons hold as many colons as two
+        # good entries; the second line's pieces would even read as 1:2 3:4
+        with pytest.raises(ParseError, match="malformed feature entry") as caught:
+            data_io.load_sparse_text(write(tmp_path, f"a 1:1.0\n{line}\n"))
+        assert caught.value.line == 2
+
+    def test_label_only_first_line(self, tmp_path):
+        data = data_io.load_sparse_text(write(tmp_path, "a\nb 1:1.0 3:2.0\na 2:0.5\n"))
+        assert data.indptr.tolist() == [0, 0, 2, 3]
+        assert data.indices.tolist() == [0, 2, 1]
+        # no row starts at the first entry, so no exemption wraps to the last one
+        with pytest.raises(ParseError, match="strictly increasing") as caught:
+            data_io.load_sparse_text(write(tmp_path, "a\nb 1:1.0 3:2.0 2:0.5\n"))
+        assert caught.value.line == 2
+
+    def test_unknown_label_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "BLOCK_LINES", 2)
+        path = write(tmp_path, "a 1:1.0\nb 1:1.0\na 2:1.0\nc 1:1.0\nb 1:1.0\n")
+        with pytest.raises(ParseError, match="unknown label 'c'") as caught:
+            data_io.load_sparse_text(path, label_names=("a", "b"))
+        assert caught.value.line == 4
+
+    def test_index_beyond_64_bits_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="outside") as caught:
+            data_io.load_sparse_text(write(tmp_path, f"1 1:1.0\n1 {2**63}:2.0\n"))
+        assert caught.value.line == 2
+
+    def test_round_trip_over_several_blocks_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(1300, 40)) * 10.0 ** rng.integers(-300, 300, (1300, 40))
+        dense[rng.random(dense.shape) < 0.8] = 0.0
+        data = data_io.from_dense(dense, rng.integers(0, 5, size=1300))
+        assert data.num_rows > 2 * data_io.BLOCK_LINES
+        path = tmp_path / "out.txt"
+        data_io.save_sparse_text(data, path)
+        again = data_io.load_sparse_text(path)
+        assert np.array_equal(again.indptr, data.indptr)
+        assert np.array_equal(again.indices, data.indices)
+        assert again.values.tobytes() == data.values.tobytes()
+        names = [data.label_names[k] for k in data.labels]
+        assert [again.label_names[k] for k in again.labels] == names
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         rng = np.random.default_rng(0)

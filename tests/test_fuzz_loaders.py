@@ -1,10 +1,11 @@
-"""Property test: corrupt bundle and data files end in a LightMCError.
+"""Property tests: corrupt bundle and data files end in a LightMCError.
 
 Each example takes one saved file (a file of a trees bundle, of a linear
 bundle, or a data file), applies one byte substitution, insertion or
 truncation to it, and loads it the way `lightmc evaluate` does; or it
 writes arbitrary bytes as a data file. The loaders may accept the file or
-raise a LightMCError; any other exception fails.
+raise a LightMCError; any other exception fails. Last, the data loader's
+bulk conversion of blocks of lines must agree with its per-line parser.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import shutil
 import tempfile
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +132,78 @@ def test_arbitrary_bytes_data_file(raw, zero_based):
         except LightMCError:
             return
     assert isinstance(data, data_io.SparseDataset) and data.num_rows >= 1
+
+
+# sparse text lines: well-formed rows, and rows with one fault that one of
+# the loader's checks must catch, at any line of a block
+index_text = st.one_of(
+    st.integers(-1, 14).map(str),
+    st.sampled_from(("1_0", "+3", "", "x", str(2**31), str(2**63), str(-(2**63) - 1))),
+)
+value_text = st.one_of(
+    st.sampled_from(("1_0", "-0.0", "1e400", "-inf", "inf", "nan", "", "1:2", "e")),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def text_lines(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(("", " ", "# c", "\r", "#")))
+    entries = draw(st.dictionaries(
+        st.integers(0, 12), st.floats(allow_nan=False, allow_infinity=False), max_size=5
+    ))
+    pairs = [[str(j), repr(v)] for j, v in sorted(entries.items())]
+    faults = (None, None, None, None, "index", "value", "swap", "colon", "token")
+    fault = draw(st.sampled_from(faults))
+    if fault in ("index", "value") and pairs:
+        pairs[draw(st.integers(0, len(pairs) - 1))][fault == "value"] = draw(
+            index_text if fault == "index" else value_text
+        )
+    tokens = [":".join(pair) for pair in pairs]
+    if fault == "swap" and len(tokens) > 1:
+        tokens[-2], tokens[-1] = tokens[-1], tokens[-2]
+    if fault == "colon" and len(tokens) > 1:  # `i:v j:w` as `i v:j:w`: the same pieces
+        k = draw(st.integers(0, len(tokens) - 2))
+        tokens[k:k + 2] = pairs[k][0], f"{pairs[k][1]}:{tokens[k + 1]}"
+    if fault == "token":
+        odd = draw(st.sampled_from(("5", "1:2:3", ":", "::", ":1", "1:")))
+        tokens.insert(draw(st.integers(0, len(tokens))), odd)
+    label = draw(st.sampled_from(("a", "b", "c", "1")))
+    return draw(st.sampled_from((" ", "\t", "  "))).join([label, *tokens])
+
+
+def outcome(path, **kwargs):
+    """The loaded dataset's arrays and names, or its error's class, message and line."""
+    try:
+        data = data_io.load_sparse_text(path, **kwargs)
+    except LightMCError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        data.indptr.tolist(),
+        data.indices.tolist(),
+        data.values.tobytes(),
+        data.labels.tolist(),
+        data.num_features,
+        data.label_names,
+    )
+
+
+@settings(FUZZ, max_examples=500)
+@given(
+    lines=st.lists(text_lines(), max_size=10),
+    block_lines=st.integers(1, 3),
+    zero_based=st.booleans(),
+    num_features=st.none() | st.integers(0, 14),
+    label_names=st.none() | st.just(("a", "b", "1")),
+)
+def test_block_parser_matches_per_line_parser(lines, block_lines, **kwargs):
+    """Blocks of 1-3 lines, so that every check meets the edges of blocks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with mock.patch.object(data_io, "BLOCK_LINES", block_lines):
+            blocks = outcome(path, **kwargs)
+        with mock.patch.object(data_io, "_convert_block", lambda *args: None):
+            per_line = outcome(path, **kwargs)
+    assert blocks == per_line
