@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,24 @@ from .errors import (
 
 MAX_FEATURE_INDEX = 2**31 - 1  # the 32-bit feature ids of LIBSVM-format readers
 BLOCK_LINES = 256  # lines load_sparse_text converts at once
+MAX_BINS = 255  # bins per feature of SparseDataset.groups
+
+
+class GroupIndex(NamedTuple):
+    """`SparseDataset.groups`: every stored entry's (feature, bin) group, in
+    storage order, and each group's feature, entry count and least and
+    greatest stored value. The groups `[start, end)` are the stored side of
+    the cut a group proposes to the tree split search: a negative group's
+    runs from its feature's first group through itself, a positive group's
+    from itself to its feature's last, and a stored-zero group's is empty."""
+
+    entry_group: np.ndarray
+    feature: np.ndarray
+    count: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +52,10 @@ class SparseDataset:
     Immutable after construction; per-row feature indices are strictly
     increasing. `label_names[k]` is the original token of dense class k,
     which the text formats hold only if it is a nonblank token not led by '#'.
-    Trees read the entries through one cached copy sorted by (feature,
-    value): `sorted_entries`, and `columns`, its per-feature offsets.
+    Trees read the entries through two cached views, each built on first
+    use: `columns`, the entries of each feature in value order, which
+    routes rows down a tree, and `groups`, the entries binned per feature
+    into at most `MAX_BINS` value ranges, which the split search scans.
     """
 
     indptr: np.ndarray
@@ -70,28 +91,93 @@ class SparseDataset:
         """Row index of every stored entry, in storage order."""
         return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
 
+    def _order(self) -> np.ndarray:
+        """The permutation that sorts the stored entries by (feature, value)."""
+        return np.lexsort((self.values, self.indices))
+
     @cached_property
     def sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All stored entries sorted by (feature, value): (features, values, rows).
+        """All stored entries sorted by (feature, value): (features, values,
+        rows), the last two shared with `columns`."""
+        col_indptr, rows, values = self.columns
+        features = np.repeat(np.arange(self.num_features), np.diff(col_indptr))
+        return features, values, rows
 
-        The one sorted copy of the entries, built once per dataset. Tree
-        training partitions this order down the tree instead of re-sorting
-        per node; `columns` slices it by feature.
+    @cached_property
+    def groups(self) -> GroupIndex:
+        """The stored entries binned into (feature, bin) groups, for tree training.
+
+        Built on first use and sized by the stored entries. A feature with at
+        most `MAX_BINS` distinct stored values keeps one bin per value. A
+        feature with more gets at most `MAX_BINS` bins of about equal entry
+        counts, cut only where the value changes and wherever its sign does,
+        so a bin never holds both a negative and a positive value, and zero
+        is a bin of its own. Groups are numbered in (feature, value) order.
         """
-        order = np.lexsort((self.values, self.indices))
-        return self.indices[order], self.values[order], self._row_ids[order]
+        order = self._order()
+        sf, sv = self.indices[order], self.values[order]
+        entries = sf.shape[0]
+        new_feature = np.empty(entries, dtype=bool)
+        new_feature[:1] = True
+        np.not_equal(sf[1:], sf[:-1], out=new_feature[1:])
+        cut = np.empty(entries, dtype=bool)  # a group's first entry
+        cut[:1] = True
+        np.not_equal(sv[1:], sv[:-1], out=cut[1:])
+        cut |= new_feature
+        segment = np.cumsum(new_feature)
+        segment -= 1
+        binned = np.bincount(segment[cut]) > MAX_BINS  # per feature
+        if binned.any():
+            at = np.flatnonzero(binned[segment])
+            cut[at] = _bin_cuts(sv[at], new_feature[at], cut[at])
+        first = np.flatnonzero(cut)
+        groups = first.shape[0]
+        count = np.diff(first, append=entries)
+        low, high = sv[first], sv[first + count - 1]
+        entry_group = np.cumsum(cut)
+        entry_group -= 1
+        entry_group[order] = entry_group.copy()  # from sorted to storage order
+        # the stored side of each group's cut
+        at = np.arange(groups)
+        feature_start = np.append(np.flatnonzero(new_feature[first]), groups)
+        segment = segment[first]
+        negative = low < 0.0
+        start = np.where(negative, feature_start[segment], at)
+        end = np.where(negative, at + 1, feature_start[segment + 1])
+        np.copyto(end, at, where=low == 0.0)
+        return GroupIndex(entry_group, sf[first], count, low, high, start, end)
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Column-major view: (col_indptr, entry_rows, entry_values).
 
         Feature f's entries are `[col_indptr[f], col_indptr[f + 1])` of the
-        row and value arrays of `sorted_entries`, so within a column they
-        are ordered by value, not by row.
+        row and value arrays, ordered by value within a column, not by row.
         """
-        _, values, rows = self.sorted_entries
+        order = self._order()
+        rows = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))[order]
         counts = np.bincount(self.indices, minlength=self.num_features)
-        return np.concatenate(([0], np.cumsum(counts))), rows, values
+        return np.concatenate(([0], np.cumsum(counts))), rows, self.values[order]
+
+
+def _bin_cuts(values, new_feature, new_value) -> np.ndarray:
+    """Where bins start, over whole features' sorted values: at most
+    `MAX_BINS` per feature, of about equal counts, each starting at a new
+    value and at every change of sign."""
+    entries = values.shape[0]
+    at = np.arange(entries)
+    start = np.flatnonzero(new_feature)
+    segment = np.cumsum(new_feature)
+    segment -= 1
+    size = np.diff(start, append=entries)[segment]
+    # a value's key is that of its first entry's rank: MAX_BINS - 2 keys,
+    # and the at most two sign changes, give at most MAX_BINS bins
+    key = (at - start[segment]) * (MAX_BINS - 2) // size
+    key = key[np.maximum.accumulate(at * new_value)]
+    sign = np.sign(values)
+    fresh = new_feature.copy()
+    fresh[1:] |= (key[1:] != key[:-1]) | (sign[1:] != sign[:-1])
+    return fresh & new_value
 
 
 def _label_name_fault(name: str) -> str | None:
@@ -147,10 +233,10 @@ def load_sparse_text(
     raises ParseError. Any bad file ends in a ParseError that names its
     first bad line.
 
-    The file is converted `BLOCK_LINES` lines at a time, so the memory the
-    loader needs beyond the dataset is bounded by a block, not by the file.
-    A block that fails any check is parsed again line by line, to name the
-    bad line.
+    The file is converted `BLOCK_LINES` lines at a time, and the blocks'
+    arrays are joined at the end, so at its peak the loader holds the
+    finished arrays about twice. A block that fails any check is parsed
+    again line by line, to name the bad line.
     """
     shift = 0 if zero_based else 1
     mapping: dict[str, int] = (

@@ -2,24 +2,30 @@
 
 Every code column j gets one learner trained against targets
 M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
-(exact greedy splits on sparse rows, one tree per outer round, predictions
-are the shrinkage-scaled sum of tree outputs) and a per-instance SGD linear
-model. Columns are independent. Tree columns may be fitted on parallel
-threads, which only grow trees; the linear learner updates all L columns
-per instance in one loop. Every output buffer, the training one too, is
-then refreshed by `accumulate_round_outputs`: one running sum of stages.
+(splits over value bins of sparse rows, one tree per outer round,
+predictions are the shrinkage-scaled sum of tree outputs) and a
+per-instance SGD linear model. Columns are independent. Tree columns may
+be fitted on parallel threads, which only grow trees; the linear learner
+updates all L columns per instance in one loop. Every output buffer, the
+training one too, is then refreshed by `accumulate_round_outputs`: one
+running sum of stages.
 
-Trees read a dataset only through its one (feature, value)-sorted entry
-view: growing partitions `sorted_entries` down the tree, predicting slices
-`columns` by feature, and both send rows left or right with `_go_left`.
-A tree grows inside a `_Workspace`, allocated once per worker for each
-`train_round` and reused for every tree that worker fits: the root copies
-the sorted entries and their residuals into it, a node is a range of it,
-a split partitions that range in place, and the split search writes into
-its slices. A node allocates only the index arrays `np.flatnonzero`
-returns, which has no `out=`. The split search groups only a node's stored
-entries: a feature's implicit zeros are the node's totals less its stored
-entries, and are never materialised. Ties go to the lowest feature.
+Trees grow on a dataset's `groups`: its stored entries binned per feature
+into at most `data_io.MAX_BINS` bins, one bin per value where a feature
+has no more distinct stored values than that. A node is the sorted list
+of the (feature, bin) groups its rows' entries fall in, with their counts
+and residual sums, and the split search scans only that list: a feature's
+implicit zeros are the node's totals less its stored entries, and are
+never materialised. A split builds only the child with fewer stored
+entries, from its rows' CSR entries; the larger child is the parent's list
+less the smaller one's (sibling subtraction). Cut thresholds lie midway
+between the bins the node holds on either side, so on data whose features
+have at most `MAX_BINS` distinct stored values the grower is exact greedy:
+every cut between two stored values is searched, and ties go to the lowest
+(feature, threshold). Rows go left or right with `_go_left`, over the
+`columns` view both growing and predicting read. The split search writes
+into a `_Workspace` sized by the groups, one per worker, which a caller
+may keep from round to round.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ LINEAR_SGD = "linear_sgd"
 _KINDS = (BOOSTED_TREES, LINEAR_SGD)
 
 _HEADER = "lightmc-ensemble"
+_ROOT_ROWS = 1024  # rows whose entries a root's sums take at once
 
 
 @dataclass(frozen=True)
@@ -139,44 +146,32 @@ def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
 
 
 class _Workspace:
-    """Every array a tree grows in, allocated once and reused tree after tree.
+    """The scratch a tree grows in, allocated once per worker and reused
+    tree after tree and round after round.
 
-    A node is two ranges. Its stored entries are `[lo, hi)` of `feature`,
-    `value`, `row` and `residual`, in ascending (feature, value) order, and
-    its rows are `[rlo, rhi)` of `rows`, ascending. A split partitions both
-    ranges in place and keeps their order (`_partition`). The split search
-    writes its node-sized arrays into the other buffers, one item per stored
-    entry or (feature, value) group of the node. A workspace serves any
-    dataset with no more rows and stored entries than the one it was sized
+    A node's rows are `[rlo, rhi)` of `rows`, ascending; a split partitions
+    that range in place (`_partition`). The root's running sums are
+    `ccount` and `csum`, which the larger children of its splits go on
+    updating in place. The split search writes its node-sized arrays into
+    the other buffers, one item per group of the node. A workspace serves
+    any dataset with no more rows and groups than the one it was sized
     from, one tree at a time.
     """
 
     def __init__(self, data: SparseDataset):
-        entries = data.indices.shape[0]
+        groups = data.groups.count.shape[0]
         rows = data.num_rows
-        # the nodes: entries in (feature, value) order, rows ascending
-        self.feature, self.row = np.empty((2, entries), dtype=np.int64)
-        self.value, self.residual = np.empty((2, entries))
         self.rows = np.empty(rows, dtype=np.int64)
-        self.index = np.arange(rows)
         self.side = np.empty(rows, dtype=bool)  # _go_left's, by row id
-        # _partition's, row sums' and the split search's scratch
-        self.moved = np.empty(max(entries, rows))
-        # split search, per entry and group
-        self.flags, self.flags2 = np.empty((2, entries), dtype=bool)
-        self.csum = np.empty(entries + 1)
-        self.start, self.end = np.empty((2, entries), dtype=np.int64)
-        self.count, self.gain, self.other = np.empty((3, entries))
+        self.moved = np.empty(rows)  # _partition's and the leaf sums' scratch
+        self.ccount, self.csum = np.empty((2, groups + 1))  # the root's running sums
+        # split search, per group of a node
+        self.stored, self.count, self.other = np.empty((3, groups))
+        self.bad = np.empty(groups, dtype=bool)
 
-    def load_root(self, data: SparseDataset, residuals: np.ndarray) -> None:
-        """Gather the root: every stored entry in (feature, value) order, every row."""
-        sf, sv, srow = data.sorted_entries
-        entries = sf.shape[0]
-        self.feature[:entries] = sf
-        self.value[:entries] = sv
-        self.row[:entries] = srow
-        np.take(residuals, srow, out=self.residual[:entries], mode="clip")
-        self.rows[:data.num_rows] = self.index[:data.num_rows]
+    def fits(self, data: SparseDataset) -> bool:
+        return (self.rows.shape[0] >= data.num_rows
+                and self.bad.shape[0] >= data.groups.count.shape[0])
 
 
 def _take(a, indices, out):
@@ -185,162 +180,238 @@ def _take(a, indices, out):
     return np.take(a, indices, out=out[:indices.shape[0]], mode="clip")
 
 
+def _running(a, out) -> np.ndarray:
+    """The running sums of `a`, from 0, in `out`: one more item than `a`."""
+    out[0] = 0.0
+    np.cumsum(a, out=out[1:])
+    return out
+
+
+class _Node:
+    """A node's stored entries as a list of the groups of `data.groups` they
+    fall in: ascending group ids, and the running sums over the list of the
+    groups' entry counts and residual sums in the node, so that the groups
+    `[i, j)` hold `csum[j] - csum[i]` of residual. A group may hold no
+    entry of the node (see `subtract`). `start` and `end` are the index's
+    stored sides of the groups' cuts, renumbered to positions in the list.
+    """
+
+    __slots__ = ("group", "ccount", "csum", "entries", "live", "start", "end")
+
+    def __init__(self, index, group, ccount, csum, entries: int):
+        self.group, self.ccount, self.csum = group, ccount, csum
+        self.entries, self.live = entries, group.shape[0]
+        if group.shape[0] == index.start.shape[0]:  # every group
+            self.start, self.end = index.start, index.end
+        else:
+            self.start = group.searchsorted(index.start[group])
+            self.end = group.searchsorted(index.end[group])
+
+    def subtract(self, child: _Node, index) -> _Node:
+        """Take a child's groups out of this node, which leaves the other
+        child: in place, while fewer than half the groups are left empty."""
+        k = self.group.shape[0]
+        at = self.group.searchsorted(child.group)
+        if not at.size:
+            return self
+        span = np.diff(at, append=k)  # list items each of the child's sums is under
+        self.ccount[at[0] + 1:] -= np.repeat(child.ccount[1:], span)
+        self.csum[at[0] + 1:] -= np.repeat(child.csum[1:], span)
+        self.entries -= child.entries
+        self.live -= int(np.count_nonzero(self.ccount[at + 1] == self.ccount[at]))
+        if 2 * self.live >= k:
+            return self
+        count = np.diff(self.ccount)
+        keep = np.flatnonzero(count)
+        return _Node(index, self.group[keep], _running(count[keep], np.empty(keep.size + 1)),
+                     _running(np.diff(self.csum)[keep], np.empty(keep.size + 1)),
+                     self.entries)
+
+
+def _root_node(data: SparseDataset, residuals: np.ndarray, ws: _Workspace) -> _Node:
+    """The root: every group, with all its entries. Its running sums are the
+    workspace's, summed `_ROOT_ROWS` rows at a time."""
+    index = data.groups
+    size = index.count.shape[0]
+    csum = ws.csum[:size + 1]
+    csum[:] = 0.0
+    indptr, length = data.indptr, np.diff(data.indptr)
+    for lo in range(0, data.num_rows, _ROOT_ROWS):
+        hi = min(lo + _ROOT_ROWS, data.num_rows)
+        np.add.at(csum[1:], index.entry_group[indptr[lo]:indptr[hi]],
+                  np.repeat(residuals[lo:hi], length[lo:hi]))
+    np.cumsum(csum, out=csum)
+    return _Node(index, np.arange(size), _running(index.count, ws.ccount[:size + 1]),
+                 csum, data.indices.shape[0])
+
+
+def _rows_node(data: SparseDataset, residuals: np.ndarray, rows: np.ndarray) -> _Node:
+    """The node of `rows`, ascending, from their CSR entries."""
+    index = data.groups
+    first = data.indptr[rows]
+    length = data.indptr[rows + 1] - first
+    entries = int(length.sum())
+    at = np.repeat(first - (np.cumsum(length) - length), length)
+    at += np.arange(entries)
+    entry_group = index.entry_group[at]
+    weights = np.repeat(residuals[rows], length)
+    size = index.count.shape[0]
+    if 16 * entries < size:  # a few entries of many groups: sort them
+        group, inverse = np.unique(entry_group, return_inverse=True)
+        count, total = np.bincount(inverse), np.bincount(inverse, weights)
+    else:
+        count = np.bincount(entry_group, minlength=size)
+        total = np.bincount(entry_group, weights, minlength=size)
+        group = np.flatnonzero(count)
+        count, total = count[group], total[group]
+    k = group.shape[0]
+    return _Node(index, group, _running(count, np.empty(k + 1)),
+                 _running(total, np.empty(k + 1)), entries)
+
+
 # a gain this close to the best, relative to the two side terms the best gain
 # is computed from, ties with it; the lowest (feature, threshold) tie wins
 _TIE = 1e-12
 
 
-def _best_split(ws, lo, hi, n, total_sum, spec):
-    """Split search over a node's entries, `[lo, hi)` of the workspace.
+def _best_split(ws, index, node: _Node, n, total_sum, spec):
+    """Split search over a node's groups, in `ws`.
 
-    The node's `n` rows hold `total_sum` of residual. Its entries arrive
-    sorted by (feature, value), so no node is sorted again, and only they
-    are grouped: the rows a feature does not store hold its implicit zeros,
-    which are never materialised. Each (feature, value) group proposes one
-    cut and sums only its stored side of it. A negative group proposes the
-    cut just above it, and its left side is a prefix of its feature's
-    stored groups. A positive group proposes the cut just below it, and
-    its right side is a suffix of them. So the zero block, implicit and
-    stored zeros alike, lies right of every negative cut and left of every
-    positive one; a stored-zero group proposes no cut. The other side of a
-    cut is the node's totals less the stored side, and a split's gain does
-    not depend on which side is left.
+    The node's `n` rows hold `total_sum` of residual. Its groups arrive
+    sorted by (feature, bin), and only they are scanned: the rows a
+    feature does not store hold its implicit zeros, which are never
+    materialised. Each group proposes one cut and sums only its stored
+    side of it (see `_Node`). A negative group proposes the cut just above
+    it, and its stored side is a prefix of its feature's groups. A positive
+    group proposes the cut just below it, and its stored side is a suffix
+    of them. So the zero block, implicit and stored zeros alike, lies
+    right of every negative cut and left of every positive one; a
+    stored-zero group proposes no cut. The other side of a cut is the
+    node's totals less the stored side, and a split's gain does not depend
+    on which side is left. A group with no entry in the node proposes the
+    cut of its nearest held neighbour on the same side, so it can only tie
+    with that cut. The threshold is the midpoint between the greatest value
+    of the bin below the cut and the least of the bin above it, among the
+    bins the node holds; with one value per bin, that is the midpoint of
+    the two stored values around the cut.
 
-    Every array is a slice of the workspace but the index arrays
-    `np.flatnonzero` returns, with one item per feature segment or group of
-    the node. Gains within `_TIE` of the best, relative to its two side
-    terms, tie, and the lowest (feature, threshold) among them wins: a
-    stored side's sum is a difference of one running sum over the node, so
-    two identical columns get gains that differ in their last bits, and the
-    rounding of a gain grows with its terms, not with the gain.
+    Every array the search writes is a slice of the workspace. Gains
+    within `_TIE` of the best, relative to its two side terms, tie, and the
+    lowest (feature, threshold) among them wins: a stored side's sum is a
+    difference of one running sum over the node, so two identical columns
+    get gains that differ in their last bits, and the rounding of a gain
+    grows with its terms, not with the gain.
     """
-    m = hi - lo
+    k = node.group.shape[0]
     msl = spec.min_samples_leaf
-    if n < 2 * msl or m == 0:
+    if n < 2 * msl or node.live == 0:
         return None
-    f = ws.feature[lo:hi]
-    v = ws.value[lo:hi]
-    csum = ws.csum[:m + 1]
-    csum[0] = 0.0
-    np.cumsum(ws.residual[lo:hi], out=csum[1:])
-
-    # feature segments and (feature, value) groups: their first entries
-    new_feature = ws.flags[:m]
-    new_feature[0] = True
-    np.not_equal(f[1:], f[:-1], out=new_feature[1:])
-    fresh = ws.flags2[:m]
-    fresh[0] = True
-    np.not_equal(v[1:], v[:-1], out=fresh[1:])
-    fresh |= new_feature
-    group = np.flatnonzero(fresh)
-    seg_start = np.flatnonzero(new_feature)
-    g, k = group.shape[0], seg_start.shape[0]
-    seg_id = ws.moved.view(np.int64)[:g]
-    np.cumsum(_take(new_feature, group, ws.flags2), out=seg_id)
-    seg_id -= 1
-    seg_end = ws.start[:k]  # until `start` is gathered
-    seg_end[:-1] = seg_start[1:]
-    seg_end[-1] = m
-    # each group's stored side of its cut is the entries [start, end)
-    end = _take(seg_end, seg_id, ws.end)
-    start = _take(seg_start, seg_id, ws.start)
-    group_value = _take(v, group, ws.other)
-    negative = np.less(group_value, 0.0, out=ws.flags[:g])
-    ok = np.not_equal(group_value, 0.0, out=ws.flags2[:g])
-    np.copyto(end[:-1], group[1:], where=negative[:-1])  # the last group's end is m
-    np.copyto(start, group, where=np.logical_not(negative, out=negative))
-
-    count = np.subtract(end, start, out=ws.count[:g])
-    stored = np.subtract(_take(csum, end, ws.gain), _take(csum, start, ws.other),
-                         out=ws.gain[:g])
-    ok &= np.greater_equal(count, msl, out=ws.flags[:g])
-    other = np.subtract(total_sum, stored, out=ws.other[:g])
-    gain = np.divide(np.square(stored, out=stored), count, out=stored)
-    np.subtract(n, count, out=count)
-    ok &= np.greater_equal(count, msl, out=ws.flags[:g])
-    np.divide(np.square(other, out=other), count, out=other, where=ok)
+    stored = _take(node.csum, node.end, ws.stored)
+    stored -= _take(node.csum, node.start, ws.count)
+    count = _take(node.ccount, node.end, ws.count)
+    count -= _take(node.ccount, node.start, ws.other)
+    clipped = np.clip(count, msl, n - msl, out=ws.other[:k])
+    bad = np.not_equal(count, clipped, out=ws.bad[:k])  # a side under the leaf minimum
+    other = np.subtract(total_sum, stored, out=ws.count[:k])
+    gain = np.divide(np.square(stored, out=stored), clipped, out=stored)
+    np.subtract(n, clipped, out=clipped)
+    np.divide(np.square(other, out=other), clipped, out=other)
     gain += other
     parent = total_sum * total_sum / n
     gain -= parent
-    np.copyto(gain, -np.inf, where=np.logical_not(ok, out=ok))
+    np.putmask(gain, bad, -np.inf)
     top = gain.max()
     if top <= 1e-12 * (1.0 + abs(parent)):
         return None
-    best = int(np.argmax(np.greater_equal(gain, top - _TIE * (top + parent), out=ok)))
+    best = int(np.argmax(np.greater_equal(gain, top - _TIE * (top + parent), out=bad)))
 
-    i = int(group[best])  # the winning group's first entry
-    feat, val = int(f[i]), v[i]
-    a, b = f.searchsorted(feat), f.searchsorted(feat, "right")
-    zeros = b - a < n  # the feature has implicit zeros in the node
-    if val < 0.0:
-        nxt = int(end[best])  # the next group's first entry
-        ok_next = nxt < b and not (zeros and v[nxt] > 0.0)
-        lo_v, hi_v = val, v[nxt] if ok_next else 0.0
-    else:
-        ok_prev = i > a and not (zeros and v[i - 1] < 0.0)
-        lo_v, hi_v = v[i - 1] if ok_prev else 0.0, val
+    # the bins the node holds on either side of the cut
+    group, ccount = node.group, node.ccount
+    g = int(group[best])
+    feat = int(index.feature[g])
+    a, b = group.searchsorted(index.feature.searchsorted([feat, feat + 1]))
+    held = a + np.flatnonzero(np.diff(ccount[a:b + 1]))
+    zeros = ccount[b] - ccount[a] < n  # the feature has implicit zeros in the node
+    if index.low[g] < 0.0:  # a cut below the zero block
+        i = held.searchsorted(best, "right")
+        nxt = int(group[held[i]]) if i < held.size else -1
+        ok_next = nxt >= 0 and not (zeros and index.low[nxt] > 0.0)
+        lo_v, hi_v = index.high[group[held[i - 1]]], index.low[nxt] if ok_next else 0.0
+    else:  # a cut above it
+        i = held.searchsorted(best)
+        prev = int(group[held[i - 1]]) if i > 0 else -1
+        ok_prev = prev >= 0 and not (zeros and index.high[prev] < 0.0)
+        lo_v, hi_v = index.high[prev] if ok_prev else 0.0, index.low[group[held[i]]]
     thr = 0.5 * (lo_v + hi_v)
     if thr >= hi_v:  # midpoint rounded up to the right value; keep the cut exact
         thr = lo_v
     return float(gain[best]), feat, float(thr)
 
 
-def _partition(keep_left, arrays, moved) -> int:
-    """Reorder each of `arrays` in place: the entries where `keep_left` is
-    True first, then the rest, each part in its old order. Returns the size
-    of the first part. `keep_left` is overwritten; `moved` is scratch of
-    8-byte items at least as long as the arrays."""
+def _partition(keep_left, rows, moved) -> int:
+    """Reorder `rows` in place: the rows where `keep_left` is True first,
+    then the rest, each part in its old order. Returns the size of the
+    first part. `keep_left` is overwritten; `moved` is scratch of 8-byte
+    items at least as long as `rows`."""
     left = np.flatnonzero(keep_left)
     right = np.flatnonzero(np.logical_not(keep_left, out=keep_left))
-    for a in arrays:
-        out = moved[:a.shape[0]].view(a.dtype)
-        _take(a, left, out)
-        _take(a, right, out[left.shape[0]:])
-        a[:] = out
+    out = moved[:rows.shape[0]].view(rows.dtype)
+    _take(rows, left, out)
+    _take(rows, right, out[left.shape[0]:])
+    rows[:] = out
     return left.shape[0]
 
 
 def _fit_tree(data, residuals, spec, ws: _Workspace) -> _Tree:
     """Grow one least-squares tree best-first under the leaf cap, in `ws`.
 
-    The root gathers every stored entry and its residual into the workspace
-    once; after that a node is a range of it, and a split partitions the
-    node's range in place, so no node copies its entries. The heap holds
-    every leaf that has a split: (-gain, node id, feature, threshold, the
-    leaf's entry range, its row range). Node ids rise in the order leaves
-    are searched, so equal gains split the earlier leaf first.
+    A node is a range of the workspace's rows and, while it may still be
+    split, its `_Node` group list. The root's list is built from every
+    stored entry. A split builds only the child with fewer stored entries
+    from its rows' entries; the other child is the parent's list less that
+    child's, updated in place. The children of the split that reaches the
+    leaf cap are never searched. The heap holds every leaf that has a
+    split: (-gain, node id, feature, threshold, the leaf's row range, its
+    `_Node`). Node ids rise in the order leaves are searched, so equal
+    gains split the earlier leaf first.
     """
-    ws.load_root(data, residuals)
+    index = data.groups
+    col_indptr, col_rows, col_vals = data.columns
     nodes: list[list] = []  # per node: feature, threshold, left, right, value
     heap: list[tuple] = []
+    last_node = 2 * spec.max_leaves - 1  # L leaves are 2L - 1 nodes
 
-    def add_leaf(lo: int, hi: int, rlo: int, rhi: int) -> None:
+    def add_leaf(rlo: int, rhi: int, node: _Node | None) -> None:
         node_id = len(nodes)
         n = rhi - rlo
         total = float(_take(residuals, ws.rows[rlo:rhi], ws.moved).sum())
         nodes.append([-1, 0.0, -1, -1, total / n])
-        split = _best_split(ws, lo, hi, n, total, spec)
+        split = None if node is None else _best_split(ws, index, node, n, total, spec)
         if split is not None:
             gain, feat, thr = split
-            heapq.heappush(heap, (-gain, node_id, feat, thr, lo, hi, rlo, rhi))
+            heapq.heappush(heap, (-gain, node_id, feat, thr, rlo, rhi, node))
 
-    add_leaf(0, data.indices.shape[0], 0, data.num_rows)
-    while heap and len(nodes) < 2 * spec.max_leaves - 1:  # L leaves are 2L - 1 nodes
-        _, node_id, feat, thr, lo, hi, rlo, rhi = heapq.heappop(heap)
-        f = ws.feature[lo:hi]
-        a, b = lo + f.searchsorted(feat), lo + f.searchsorted(feat, "right")
+    ws.rows[:data.num_rows] = np.arange(data.num_rows)
+    add_leaf(0, data.num_rows, _root_node(data, residuals, ws))
+    while heap and len(nodes) < last_node:
+        _, node_id, feat, thr, rlo, rhi, node = heapq.heappop(heap)
         rows = ws.rows[rlo:rhi]
-        side = _go_left(rows, ws.row[a:b], ws.value[a:b], thr, ws.side)
-        ent_side = _take(ws.side, ws.row[lo:hi], ws.flags)
+        lo, hi = col_indptr[feat], col_indptr[feat + 1]
+        side = _go_left(rows, col_rows[lo:hi], col_vals[lo:hi], thr, ws.side)
         nodes[node_id][:4] = feat, thr, len(nodes), len(nodes) + 1
-        mid = lo + _partition(
-            ent_side,
-            (ws.feature[lo:hi], ws.value[lo:hi], ws.row[lo:hi], ws.residual[lo:hi]),
-            ws.moved,
-        )
-        rmid = rlo + _partition(side, (rows,), ws.moved)
-        add_leaf(lo, mid, rlo, rmid)
-        add_leaf(mid, hi, rmid, rhi)
+        rmid = rlo + _partition(side, rows, ws.moved)
+        left = right = None
+        if len(nodes) + 2 < last_node:  # the children may still be split
+            lrows = ws.rows[rlo:rmid]
+            left_entries = int((data.indptr[lrows + 1] - data.indptr[lrows]).sum())
+            if 2 * left_entries <= node.entries:
+                left = _rows_node(data, residuals, lrows)
+                right = node.subtract(left, index)
+            else:
+                right = _rows_node(data, residuals, ws.rows[rmid:rhi])
+                left = node.subtract(right, index)
+        add_leaf(rlo, rmid, left)
+        add_leaf(rmid, rhi, right)
     return _Tree(*zip(*nodes))
 
 
@@ -405,6 +476,7 @@ def train_round(
     matrix: CodingMatrix,
     outputs: np.ndarray,
     threads: int = 1,
+    workspaces: list | None = None,
 ) -> BaseLearnerEnsemble:
     """Train every column for one round against the current matrix.
 
@@ -415,6 +487,9 @@ def train_round(
     fitting runs on `threads` threads, and each writes only the workspace
     it holds while fitting a tree; the linear learner updates all L
     columns per instance, so permuting columns permutes outputs exactly.
+    `workspaces` keeps the tree workspaces from one call to the next: pass
+    the same list to every round of a fit, and its workers' buffers are
+    allocated once.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -427,12 +502,15 @@ def train_round(
     labels = check_labels(data.labels, matrix.num_classes, data.num_rows)
     targets = matrix.entries[labels]
     if ensemble.is_boosting:
-        data.sorted_entries  # build the shared sorted view outside worker threads
+        data.groups, data.columns  # build the shared views outside worker threads
         columns = range(ensemble.code_length)
         workers = max(1, min(threads, len(columns)))
+        kept = [] if workspaces is None else workspaces
+        kept[:] = [ws for ws in kept if ws.fits(data)]
+        kept += [_Workspace(data) for _ in range(workers - len(kept))]
         spare = queue.SimpleQueue()  # one workspace per worker, reused for its trees
-        for _ in range(workers):
-            spare.put(_Workspace(data))
+        for ws in kept:
+            spare.put(ws)
 
         def fit_column(j: int) -> None:
             residuals = targets[:, j] - outputs[:, j]

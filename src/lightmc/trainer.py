@@ -231,8 +231,11 @@ def fit(
     t_start = time.perf_counter()
     prev_elapsed = 0.0
 
+    workspaces: list = []  # the tree workers' buffers, kept for the whole fit
     for i in range(1, config.max_rounds + 1):
-        learners.train_round(ensemble, data, matrix, o_train, threads=config.threads)
+        learners.train_round(
+            ensemble, data, matrix, o_train, threads=config.threads, workspaces=workspaces
+        )
         learners.accumulate_round_outputs(ensemble, validation, o_valid)
 
         updated = config.mode == MODE_LIGHTMC and i in cadence

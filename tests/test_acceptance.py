@@ -221,6 +221,7 @@ def paired_blob_benchmark():
     return results, traces, time.perf_counter() - started
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_benchmark(paired_blob_benchmark):
     results, _, elapsed = paired_blob_benchmark
     light = np.array(results["lightmc"])
@@ -243,6 +244,7 @@ def test_criterion_5_desk_scale_benchmark(paired_blob_benchmark):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_code_distance_trend(paired_blob_benchmark):
     # Correlated (confusable) pairs must spread apart by a strictly larger
     # factor than anti-correlated pairs, from the matrix before the first
@@ -342,6 +344,7 @@ def _news20_path():
     return None
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     _news20_path() is None,
     reason="News20 dataset not available locally (no general network in this "

@@ -20,6 +20,8 @@ from lightmc.learners import (
     LearnerSpec,
     _best_split,
     _fit_tree,
+    _root_node,
+    _rows_node,
     _Workspace,
 )
 
@@ -35,8 +37,8 @@ def random_sparse(rng, n, num_features, zero_fraction=0.4, num_classes=3):
 def root_split(data, residuals, total_sum, spec):
     """Best split of the root node: every row and every stored entry."""
     ws = _Workspace(data)
-    ws.load_root(data, residuals)
-    return _best_split(ws, 0, data.indices.size, data.num_rows, total_sum, spec)
+    node = _root_node(data, residuals, ws)
+    return _best_split(ws, data.groups, node, data.num_rows, total_sum, spec)
 
 
 def reference_best_split(sf, sv, srow, ents, rows, res_full, total_sum, spec):
@@ -166,20 +168,24 @@ def assert_same_tree(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def node_split(data, residuals, rows, spec, offset=0):
+def node_split(data, residuals, rows, spec, subtracted=False):
     """(`_best_split`, `reference_best_split`) of the node holding `rows`
-    (ascending) and every stored entry of them. The workspace holds the
-    node's entries at `offset`; the rest of it is left as garbage."""
+    (ascending) and every stored entry of them. The node's group list is
+    built from its rows, or, if `subtracted`, as the root's list less that of
+    the other rows, as a split's larger child is; the workspace holds what
+    the root's search left in it."""
     sf, sv, srow = data.sorted_entries
     ents = np.flatnonzero(np.isin(srow, rows))
     total = float(residuals[rows].sum())
     ws = _Workspace(data)
-    node = slice(offset, offset + ents.size)
-    ws.feature[node] = sf[ents]
-    ws.value[node] = sv[ents]
-    ws.row[node] = srow[ents]
-    ws.residual[node] = residuals[srow[ents]]
-    got = _best_split(ws, node.start, node.stop, rows.size, total, spec)
+    root = _root_node(data, residuals, ws)
+    _best_split(ws, data.groups, root, data.num_rows, float(residuals.sum()), spec)
+    if subtracted:
+        other = np.setdiff1d(np.arange(data.num_rows), rows)
+        node = root.subtract(_rows_node(data, residuals, other), data.groups)
+    else:
+        node = _rows_node(data, residuals, rows)
+    got = _best_split(ws, data.groups, node, rows.size, total, spec)
     want = reference_best_split(sf, sv, srow, ents, rows, residuals, total, spec)
     return got, want
 
@@ -236,10 +242,8 @@ def split_nodes(draw):
         rows = rows[rng.random(n) < 0.6]
         if rows.size == 0:
             rows = np.array([int(rng.integers(n))])
-    entries = int(np.isin(data.sorted_entries[2], rows).sum())
-    offset = draw(st.integers(0, data.indices.size - entries))
     msl = draw(st.integers(1, 3))
-    return data, residuals, rows, LearnerSpec(min_samples_leaf=msl), offset
+    return data, residuals, rows, LearnerSpec(min_samples_leaf=msl), draw(st.booleans())
 
 
 def _evaluate_split(dense, residuals, feature, threshold):
@@ -418,6 +422,136 @@ class TestSplitSearch:
             assert got[1:] == want[1:] == split
 
 
+@st.composite
+def tree_fits(draw):
+    """A small dataset whose features have at most 60 distinct stored values,
+    integer residuals, and a leaf minimum and cap. The residuals lie in
+    [-1000, 1000], so every sum is exact and two cuts that split the rows
+    alike tie exactly; small integers would also make many different
+    splits' gains equal as fractions, which the reference breaks by their
+    rounding and the grower by the lowest (feature, threshold). Negating
+    every value mirrors each split, so the child with fewer stored entries
+    is drawn on either side."""
+    n = draw(st.integers(2, 60))
+    num_features = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = rng.random((n, num_features)) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+    if draw(st.booleans()):  # few distinct values: ties and stored zeros
+        dense = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (n, num_features))
+    else:
+        dense = rng.normal(size=(n, num_features))
+    if draw(st.booleans()):
+        dense = -dense
+    dense[~stored] = 0.0
+    r, c = np.nonzero(stored)
+    data = data_io.SparseDataset(
+        indptr=np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+        indices=c,
+        values=dense[r, c],
+        labels=np.zeros(n, dtype=np.int64),
+        num_features=num_features,
+        num_classes=1,
+        label_names=("0",),
+    )
+    residuals = rng.integers(-1000, 1001, n).astype(np.float64)
+    spec = LearnerSpec(
+        max_leaves=draw(st.integers(2, 12)), min_samples_leaf=draw(st.integers(1, 3))
+    )
+    return data, residuals, spec
+
+
+def many_valued(seed):
+    """1500 rows of two features: feature 0 stores about 1200 values, with
+    hundreds of distinct ones of both signs, repeats and stored zeros;
+    feature 1 stores three values. Some rows of each store nothing."""
+    rng = np.random.default_rng(seed)
+    n = 1500
+    dense = np.column_stack(
+        [np.round(rng.normal(size=n) * 300.0) / 100.0, rng.choice([-1.0, 0.0, 2.0], n)]
+    )
+    dense[rng.random(n) < 0.05, 0] = 0.0
+    stored = rng.random((n, 2)) < [0.8, 0.5]
+    dense[~stored] = 0.0
+    r, c = np.nonzero(stored)
+    data = data_io.SparseDataset(
+        indptr=np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+        indices=c,
+        values=dense[r, c],
+        labels=np.zeros(n, dtype=np.int64),
+        num_features=2,
+        num_classes=1,
+        label_names=("0",),
+    )
+    return data, dense
+
+
+class TestBins:
+    def test_bins_keep_values_whole_and_signs_apart(self):
+        data, _ = many_valued(43)
+        groups = data.groups
+        sf, sv, _ = data.sorted_entries
+        for f in (0, 1):
+            mine = groups.feature == f
+            low, high, count = groups.low[mine], groups.high[mine], groups.count[mine]
+            values = sv[sf == f]
+            distinct = np.unique(values)
+            assert count.sum() == values.size
+            # ordered, and a value never lies in two bins
+            assert np.all(low <= high) and np.all(high[:-1] < low[1:])
+            assert np.all(np.sign(low) == np.sign(high))
+            assert np.array_equal(np.bincount(low.searchsorted(values, "right") - 1), count)
+            if f == 0:
+                assert distinct.size > 2 * data_io.MAX_BINS
+                assert 200 < mine.sum() <= data_io.MAX_BINS
+                assert low[low == 0.0].size == 1  # the stored zeros' own bin
+            else:
+                assert np.array_equal(low, distinct) and np.array_equal(high, distinct)
+
+    @pytest.mark.parametrize("msl", [1, 40])
+    def test_split_is_the_best_cut_between_held_bins(self, msl):
+        data, dense = many_valued(47)
+        groups = data.groups
+        rng = np.random.default_rng(48)
+        spec = LearnerSpec(min_samples_leaf=msl)
+        binned_splits = 0
+        for trial in range(6):
+            residuals = rng.normal(size=data.num_rows) + 3.0 * dense[:, 0]
+            rows = np.arange(data.num_rows)
+            if trial % 2:
+                rows = np.flatnonzero(rng.random(data.num_rows) < 0.3)
+            node = _rows_node(data, residuals, rows)
+            total = float(residuals[rows].sum())
+            got = _best_split(_Workspace(data), groups, node, rows.size, total, spec)
+            x, r = dense[rows], residuals[rows]
+            # the bins the node holds, and the zero block where rows store nothing
+            cuts = {}
+            for f in (0, 1):
+                col = x[:, f]
+                stored = np.isin(rows, data.sorted_entries[2][data.sorted_entries[0] == f])
+                mine = np.flatnonzero(groups.feature == f)
+                held = mine[np.bincount(
+                    groups.low[mine].searchsorted(col[stored], "right") - 1,
+                    minlength=mine.size,
+                ) > 0]
+                bins = set(zip(groups.low[held], groups.high[held]))
+                if not stored.all():
+                    bins.add((0.0, 0.0))
+                bins = sorted(bins)
+                cuts[f] = [(lo[1], hi[0]) for lo, hi in zip(bins, bins[1:])]
+            best = max(
+                _evaluate_split(x, r, f, below)
+                for f in (0, 1)
+                for below, _ in cuts[f]
+                if msl <= np.count_nonzero(x[:, f] <= below) <= rows.size - msl
+            )
+            assert got[0] == pytest.approx(best, rel=1e-9)
+            feat, thr = got[1:]
+            assert _evaluate_split(x, r, feat, thr) == pytest.approx(best, rel=1e-9)
+            assert any(below <= thr < above for below, above in cuts[feat])
+            binned_splits += feat == 0
+        assert binned_splits >= 3
+
+
 class TestTreeFitting:
     def test_constant_targets_one_round(self):
         rng = np.random.default_rng(3)
@@ -467,32 +601,64 @@ class TestTreeFitting:
                     data, residuals = fits[name]
                     assert_same_tree(_fit_tree(data, residuals, spec, ws), fresh[name])
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fit=tree_fits())
+    def test_grows_the_reference_tree(self, fit):
+        data, residuals, spec = fit
+        got = _fit_tree(data, residuals, spec, _Workspace(data))
+        assert_same_tree(got, reference_fit_tree(data, residuals, spec))
+
+    @pytest.mark.parametrize("max_leaves", [2, 3, 8, 12])
+    def test_full_tree_runs_two_searches_per_split_but_the_last(
+        self, monkeypatch, max_leaves
+    ):
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return _best_split(*args)
+
+        monkeypatch.setattr(learners, "_best_split", counted)
+        data, _ = random_sparse(np.random.default_rng(37), 200, 6, zero_fraction=0.2)
+        residuals = np.random.default_rng(38).normal(size=200)
+        spec = LearnerSpec(max_leaves=max_leaves)
+        tree = _fit_tree(data, residuals, spec, _Workspace(data))
+        assert np.count_nonzero(tree.feature < 0) == max_leaves
+        assert len(searches) == 2 * max_leaves - 3
+
     def test_reused_workspace_takes_few_page_faults(self):
-        # about 50k stored entries: each node-sized float64 array of the root
-        # is about 400 KB, above glibc's default 128 KB mmap threshold. The
-        # grower that allocated them per node took about 20k minor page
-        # faults for this tree; growing it in a used workspace takes almost none
+        # about 50k stored entries, binned into about 25k groups: each
+        # group-sized float64 array of the root is about 200 KB, above
+        # glibc's default 128 KB mmap threshold. The grower that allocated
+        # its node arrays per node took about 20k minor page faults for one
+        # tree; with the workspaces kept from one train_round to the next,
+        # two rounds after the first take almost none
         rng = np.random.default_rng(29)
         dense = rng.normal(size=(1000, 100))
         dense[rng.random((1000, 100)) < 0.5] = 0.0
         data = data_io.from_dense(dense, rng.integers(0, 3, size=1000))
         assert 45_000 < data.indices.size < 55_000
-        spec = LearnerSpec(max_leaves=31)
-        ws = _Workspace(data)
-        _fit_tree(data, rng.normal(size=1000), spec, ws)  # warm-up
-        residuals = rng.normal(size=1000)
+        m = codebook.init_random(3, 3, seed=1)
+        ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=31), data.num_features)
+        outputs = np.zeros((1000, 3))
+        workspaces: list = []
+        learners.train_round(ensemble, data, m, outputs, workspaces=workspaces)  # warm-up
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        _fit_tree(data, residuals, spec, ws)
+        for _ in range(2):
+            learners.train_round(ensemble, data, m, outputs, workspaces=workspaces)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 2000
 
     def test_workspace_holds_few_bytes_per_entry(self):
-        # the node's four arrays take 32 bytes per stored entry and the split
-        # search's scratch under 60; a slot per feature, or per entry and
-        # feature, took the splice's workspace to 123 here
+        # the workspace takes 41 bytes per group (the split search's scratch
+        # and the root's running sums) and the shared group index 56 per group
+        # and 8 per stored entry, about 98 in all here, where nearly every
+        # entry is a group of its own; a slot per feature, or per entry and
+        # feature, took the splice's workspace to 123
         data, _ = random_sparse(np.random.default_rng(31), 400, 30)
         ws = _Workspace(data)
         held = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+        held += sum(a.nbytes for a in data.groups)
         assert held <= 100 * data.indices.size
 
     def test_tree_predictions_reduce_sse(self):
