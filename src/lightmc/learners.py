@@ -23,16 +23,15 @@ between the bins the node holds on either side, so on data whose features
 have at most `MAX_BINS` distinct stored values the grower is exact greedy:
 every cut between two stored values is searched, and ties go to the lowest
 (feature, threshold). Rows go left or right with `_go_left`, over the
-`columns` view both growing and predicting read. The split search writes
-into a `_Workspace` sized by the groups, one per worker, which a caller
-may keep from round to round.
+`columns` view both growing and predicting read. Each worker fits a fixed
+stride of columns, tree after tree, in its own `_Workspace`, sized by the
+groups, which a caller may keep from round to round.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -146,8 +145,8 @@ def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
 
 
 class _Workspace:
-    """The scratch a tree grows in, allocated once per worker and reused
-    tree after tree and round after round.
+    """The scratch a tree grows in. Each worker owns one, allocated once and
+    reused for every tree of its stride of columns, round after round.
 
     A node's rows are `[rlo, rhi)` of `rows`, ascending; a split partitions
     that range in place (`_partition`). The root's running sums are
@@ -191,41 +190,35 @@ class _Node:
     """A node's stored entries as a list of the groups of `data.groups` they
     fall in: ascending group ids, and the running sums over the list of the
     groups' entry counts and residual sums in the node, so that the groups
-    `[i, j)` hold `csum[j] - csum[i]` of residual. A group may hold no
-    entry of the node (see `subtract`). `start` and `end` are the index's
+    `[i, j)` hold `csum[j] - csum[i]` of residual. A split's larger child
+    is its parent's `_Node` less the smaller child (`subtract`), so a group
+    may hold no entry of the node. `start` and `end` are the index's
     stored sides of the groups' cuts, renumbered to positions in the list.
     """
 
-    __slots__ = ("group", "ccount", "csum", "entries", "live", "start", "end")
+    __slots__ = ("group", "ccount", "csum", "entries", "start", "end")
 
     def __init__(self, index, group, ccount, csum, entries: int):
         self.group, self.ccount, self.csum = group, ccount, csum
-        self.entries, self.live = entries, group.shape[0]
+        self.entries = entries
         if group.shape[0] == index.start.shape[0]:  # every group
             self.start, self.end = index.start, index.end
         else:
             self.start = group.searchsorted(index.start[group])
             self.end = group.searchsorted(index.end[group])
 
-    def subtract(self, child: _Node, index) -> _Node:
-        """Take a child's groups out of this node, which leaves the other
-        child: in place, while fewer than half the groups are left empty."""
+    def subtract(self, child: _Node) -> None:
+        """Take a child's groups out of this node's running sums, in place,
+        which leaves the other child. Groups the child emptied stay in the
+        list, holding no entry."""
         k = self.group.shape[0]
         at = self.group.searchsorted(child.group)
         if not at.size:
-            return self
+            return
         span = np.diff(at, append=k)  # list items each of the child's sums is under
         self.ccount[at[0] + 1:] -= np.repeat(child.ccount[1:], span)
         self.csum[at[0] + 1:] -= np.repeat(child.csum[1:], span)
         self.entries -= child.entries
-        self.live -= int(np.count_nonzero(self.ccount[at + 1] == self.ccount[at]))
-        if 2 * self.live >= k:
-            return self
-        count = np.diff(self.ccount)
-        keep = np.flatnonzero(count)
-        return _Node(index, self.group[keep], _running(count[keep], np.empty(keep.size + 1)),
-                     _running(np.diff(self.csum)[keep], np.empty(keep.size + 1)),
-                     self.entries)
 
 
 def _root_node(data: SparseDataset, residuals: np.ndarray, ws: _Workspace) -> _Node:
@@ -304,7 +297,7 @@ def _best_split(ws, index, node: _Node, n, total_sum, spec):
     """
     k = node.group.shape[0]
     msl = spec.min_samples_leaf
-    if n < 2 * msl or node.live == 0:
+    if n < 2 * msl or node.entries == 0:
         return None
     stored = _take(node.csum, node.end, ws.stored)
     stored -= _take(node.csum, node.start, ws.count)
@@ -405,11 +398,11 @@ def _fit_tree(data, residuals, spec, ws: _Workspace) -> _Tree:
             lrows = ws.rows[rlo:rmid]
             left_entries = int((data.indptr[lrows + 1] - data.indptr[lrows]).sum())
             if 2 * left_entries <= node.entries:
-                left = _rows_node(data, residuals, lrows)
-                right = node.subtract(left, index)
+                left, right = _rows_node(data, residuals, lrows), node
+                node.subtract(left)
             else:
-                right = _rows_node(data, residuals, ws.rows[rmid:rhi])
-                left = node.subtract(right, index)
+                left, right = node, _rows_node(data, residuals, ws.rows[rmid:rhi])
+                node.subtract(right)
         add_leaf(rlo, rmid, left)
         add_leaf(rmid, rhi, right)
     return _Tree(*zip(*nodes))
@@ -484,9 +477,11 @@ def train_round(
     round one): trees fit one new stage per column to the residuals, the
     linear learner runs its SGD epochs from its current weights. Then
     `accumulate_round_outputs` brings `outputs` up to date. Only tree
-    fitting runs on `threads` threads, and each writes only the workspace
-    it holds while fitting a tree; the linear learner updates all L
-    columns per instance, so permuting columns permutes outputs exactly.
+    fitting runs on `threads` threads: worker w fits columns w, w + workers,
+    ..., one after another, in its own workspace, and writes nothing but
+    that workspace and those columns' tree lists. The linear learner
+    updates all L columns per instance, so permuting columns permutes
+    outputs exactly.
     `workspaces` keeps the tree workspaces from one call to the next: pass
     the same list to every round of a fit, and its workers' buffers are
     allocated once.
@@ -503,28 +498,22 @@ def train_round(
     targets = matrix.entries[labels]
     if ensemble.is_boosting:
         data.groups, data.columns  # build the shared views outside worker threads
-        columns = range(ensemble.code_length)
-        workers = max(1, min(threads, len(columns)))
+        workers = max(1, min(threads, ensemble.code_length))
         kept = [] if workspaces is None else workspaces
         kept[:] = [ws for ws in kept if ws.fits(data)]
         kept += [_Workspace(data) for _ in range(workers - len(kept))]
-        spare = queue.SimpleQueue()  # one workspace per worker, reused for its trees
-        for ws in kept:
-            spare.put(ws)
 
-        def fit_column(j: int) -> None:
-            residuals = targets[:, j] - outputs[:, j]
-            ws = spare.get()
-            try:
-                ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec, ws))
-            finally:
-                spare.put(ws)
+        def fit_columns(w: int) -> None:
+            """Worker w's trees: columns w, w + workers, ..., in `kept[w]`."""
+            for j in range(w, ensemble.code_length, workers):
+                residuals = targets[:, j] - outputs[:, j]
+                ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec, kept[w]))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fit_column, columns))
+                list(pool.map(fit_columns, range(workers)))
         else:  # on the calling thread, where profilers look
-            list(map(fit_column, columns))
+            fit_columns(0)
     else:
         _fit_linear(ensemble, data, targets)
     accumulate_round_outputs(ensemble, data, outputs)

@@ -140,8 +140,8 @@ def loss(probabilities: np.ndarray, label: int) -> float:
 
 def _batch_score_gradients(
     params: DecoderParams, outputs: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """dJ/dt per instance (N x K) and the probabilities it was derived from.
+) -> np.ndarray:
+    """dJ/dt per instance (N x K).
 
     With d_k = dJ/dp_k (which is 1/(1-p_k) off the label and -1/p_label on
     it), chaining through the softmax Jacobian gives
@@ -153,7 +153,7 @@ def _batch_score_gradients(
     d = 1.0 / (1.0 - pc)
     d[np.arange(n), labels] = -1.0 / pc[np.arange(n), labels]
     zeta = (d * pc).sum(axis=1, keepdims=True)
-    return pc * (d - zeta), p
+    return pc * (d - zeta)
 
 
 def loss_gradients(
@@ -171,8 +171,7 @@ def loss_gradients(
         )
     if not 0 <= label < params.num_classes:
         raise IndexOutOfRange(f"label {label} not in [0, {params.num_classes})")
-    dt, _ = _batch_score_gradients(params, o[None, :], np.array([label]))
-    dt = dt[0]
+    dt = _batch_score_gradients(params, o[None, :], np.array([label]))[0]
     return 0.5 * np.outer(dt, o), 0.5 * dt, 0.5 * (dt @ params.weights)
 
 
@@ -185,7 +184,7 @@ def output_gradients(
     G matrix consumed by the coding-matrix update.
     """
     labels = check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
-    dt, _ = _batch_score_gradients(params, outputs, labels)
+    dt = _batch_score_gradients(params, outputs, labels)
     return 0.5 * (dt @ params.weights)
 
 
@@ -246,7 +245,7 @@ def train_decoding(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            dt, _ = _batch_score_gradients(updated, o[idx], labels[idx])
+            dt = _batch_score_gradients(updated, o[idx], labels[idx])
             grad_w = 0.5 * (dt.T @ o[idx]) / idx.size + l2 * updated.weights
             grad_b = 0.5 * dt.mean(axis=0)
             if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):

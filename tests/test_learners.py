@@ -168,21 +168,25 @@ def assert_same_tree(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def node_split(data, residuals, rows, spec, subtracted=False):
+def node_split(data, residuals, rows, spec, taken=()):
     """(`_best_split`, `reference_best_split`) of the node holding `rows`
     (ascending) and every stored entry of them. The node's group list is
-    built from its rows, or, if `subtracted`, as the root's list less that of
-    the other rows, as a split's larger child is; the workspace holds what
-    the root's search left in it."""
+    built from its rows, or, if `taken` lists disjoint row sets that with
+    `rows` make up every row, as the root's list less that of each set in
+    turn, as the larger child of each split down a tree is; the workspace
+    holds what the root's search left in it."""
     sf, sv, srow = data.sorted_entries
     ents = np.flatnonzero(np.isin(srow, rows))
     total = float(residuals[rows].sum())
     ws = _Workspace(data)
     root = _root_node(data, residuals, ws)
     _best_split(ws, data.groups, root, data.num_rows, float(residuals.sum()), spec)
-    if subtracted:
-        other = np.setdiff1d(np.arange(data.num_rows), rows)
-        node = root.subtract(_rows_node(data, residuals, other), data.groups)
+    if taken:
+        ccount, csum = root.ccount, root.csum
+        for other in taken:
+            assert root.subtract(_rows_node(data, residuals, other)) is None
+        assert root.ccount is ccount and root.csum is csum
+        node = root
     else:
         node = _rows_node(data, residuals, rows)
     got = _best_split(ws, data.groups, node, rows.size, total, spec)
@@ -202,8 +206,11 @@ _LAYOUTS = [
 @st.composite
 def split_nodes(draw):
     """A small dataset, a node of it (the root or a subset of its rows),
-    residuals and a leaf minimum. Values come from a small set, so ties,
-    stored zeros and duplicate (feature, value) groups are common, or are
+    residuals, a leaf minimum, and either no row sets or 1-3 disjoint ones
+    that hold every row outside the node, to be subtracted from the root in
+    turn. A node of a fifth of the rows leaves most of the root's groups
+    empty on some draws. Values come from a small set, so ties, stored
+    zeros and duplicate (feature, value) groups are common, or are
     continuous."""
     n = draw(st.integers(2, 24))
     layouts = draw(st.lists(st.sampled_from(_LAYOUTS), min_size=1, max_size=5))
@@ -239,11 +246,16 @@ def split_nodes(draw):
         residuals = rng.normal(size=n)
     rows = np.arange(n)
     if draw(st.booleans()):  # a child node: a nonempty subset of the rows
-        rows = rows[rng.random(n) < 0.6]
+        rows = rows[rng.random(n) < draw(st.sampled_from([0.6, 0.2]))]
         if rows.size == 0:
             rows = np.array([int(rng.integers(n))])
     msl = draw(st.integers(1, 3))
-    return data, residuals, rows, LearnerSpec(min_samples_leaf=msl), draw(st.booleans())
+    taken = ()
+    if draw(st.booleans()):  # the node as the root less the other rows' sets
+        other = np.setdiff1d(np.arange(n), rows)
+        cuts = np.sort(rng.integers(0, other.size + 1, draw(st.integers(0, 2))))
+        taken = np.split(other, cuts)
+    return data, residuals, rows, LearnerSpec(min_samples_leaf=msl), taken
 
 
 def _evaluate_split(dense, residuals, feature, threshold):
@@ -888,17 +900,19 @@ class TestEnsemble:
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(14)
         data, _ = random_sparse(rng, 60, 5)
-        m = codebook.init_random(3, 3, seed=6)
-        serial = learners.new_ensemble(3, LearnerSpec(), data.num_features)
-        pooled = learners.new_ensemble(3, LearnerSpec(), data.num_features)
-        out_serial = np.zeros((60, 3))
-        out_pooled = np.zeros((60, 3))
-        for _ in range(2):
-            learners.train_round(serial, data, m, out_serial, threads=1)
-            learners.train_round(pooled, data, m, out_pooled, threads=4)
-        assert np.array_equal(
-            learners.predict_all(serial, data), learners.predict_all(pooled, data)
-        )
+        # with 5 columns, 2 and 3 workers take strides of unequal length
+        for code_length, threads in ((3, 4), (5, 2), (5, 3)):
+            m = codebook.init_random(3, code_length, seed=6)
+            serial = learners.new_ensemble(code_length, LearnerSpec(), data.num_features)
+            pooled = learners.new_ensemble(code_length, LearnerSpec(), data.num_features)
+            out_serial = np.zeros((60, code_length))
+            out_pooled = np.zeros((60, code_length))
+            for _ in range(2):
+                learners.train_round(serial, data, m, out_serial, threads=1)
+                learners.train_round(pooled, data, m, out_pooled, threads=threads)
+            assert np.array_equal(
+                learners.predict_all(serial, data), learners.predict_all(pooled, data)
+            )
 
     def test_thread_switches_do_not_change_buffers(self):
         rng = np.random.default_rng(16)
