@@ -148,7 +148,9 @@ def _train_config(opts: dict[str, object]) -> TrainConfig:
         if field is not None:
             owner, _, field = field.rpartition(".")
             (learner_fields if owner else fields)[field] = value
-    return TrainConfig(learner=LearnerSpec(**learner_fields), **fields)
+    config = TrainConfig(learner=LearnerSpec(**learner_fields), **fields)
+    config.validate()  # before the data is read and split with config.seed
+    return config
 
 
 def _load_train_valid(args, opts, seed: int):

@@ -159,10 +159,7 @@ def min_feasible_code_length(num_classes: int) -> int:
     """Smallest L with 2^(L-1) > K, i.e. the shortest feasible binary code."""
     if num_classes < 3:
         raise InvalidArg(f"need at least 3 classes, got {num_classes}")
-    length = 1
-    while 2 ** (length - 1) <= num_classes:
-        length += 1
-    return length
+    return num_classes.bit_length() + 1
 
 
 def hamming_decode(matrix: CodingMatrix, outputs: np.ndarray) -> int:

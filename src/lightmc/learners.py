@@ -25,13 +25,14 @@ every cut between two stored values is searched, and ties go to the lowest
 (feature, threshold). Rows go left or right with `_go_left`, over the
 `columns` view both growing and predicting read. Each worker fits a fixed
 stride of columns, tree after tree, in its own `_Workspace`, sized by the
-groups, which a caller may keep from round to round.
+groups, which lasts one round.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,6 +80,9 @@ class LearnerSpec:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidArg(f"unknown learner kind {self.kind!r}")
+        for name in ("max_leaves", "min_samples_leaf", "epochs_per_round"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidArg(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InvalidArg(
                 f"learning rate must be in (0, 1], got {self.learning_rate}"
@@ -145,8 +149,9 @@ def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
 
 
 class _Workspace:
-    """The scratch a tree grows in. Each worker owns one, allocated once and
-    reused for every tree of its stride of columns, round after round.
+    """The scratch a tree grows in. Each worker of a `train_round` owns one,
+    allocated for that round and reused for every tree of its stride of
+    columns.
 
     A node's rows are `[rlo, rhi)` of `rows`, ascending; a split partitions
     that range in place (`_partition`). The root's running sums are
@@ -167,10 +172,6 @@ class _Workspace:
         # split search, per group of a node
         self.stored, self.count, self.other = np.empty((3, groups))
         self.bad = np.empty(groups, dtype=bool)
-
-    def fits(self, data: SparseDataset) -> bool:
-        return (self.rows.shape[0] >= data.num_rows
-                and self.bad.shape[0] >= data.groups.count.shape[0])
 
 
 def _take(a, indices, out):
@@ -469,7 +470,6 @@ def train_round(
     matrix: CodingMatrix,
     outputs: np.ndarray,
     threads: int = 1,
-    workspaces: list | None = None,
 ) -> BaseLearnerEnsemble:
     """Train every column for one round against the current matrix.
 
@@ -478,13 +478,10 @@ def train_round(
     linear learner runs its SGD epochs from its current weights. Then
     `accumulate_round_outputs` brings `outputs` up to date. Only tree
     fitting runs on `threads` threads: worker w fits columns w, w + workers,
-    ..., one after another, in its own workspace, and writes nothing but
-    that workspace and those columns' tree lists. The linear learner
-    updates all L columns per instance, so permuting columns permutes
-    outputs exactly.
-    `workspaces` keeps the tree workspaces from one call to the next: pass
-    the same list to every round of a fit, and its workers' buffers are
-    allocated once.
+    ..., one after another, in its own workspace, made for this call on the
+    calling thread, and writes nothing but that workspace and those
+    columns' tree lists. The linear learner updates all L columns per
+    instance, so permuting columns permutes outputs exactly.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -499,9 +496,9 @@ def train_round(
     if ensemble.is_boosting:
         data.groups, data.columns  # build the shared views outside worker threads
         workers = max(1, min(threads, ensemble.code_length))
-        kept = [] if workspaces is None else workspaces
-        kept[:] = [ws for ws in kept if ws.fits(data)]
-        kept += [_Workspace(data) for _ in range(workers - len(kept))]
+        # made here, not on the workers: per-thread malloc arenas held about
+        # 3 MB more peak RSS on sparse_topics_trees
+        kept = [_Workspace(data) for _ in range(workers)]
 
         def fit_columns(w: int) -> None:
             """Worker w's trees: columns w, w + workers, ..., in `kept[w]`."""

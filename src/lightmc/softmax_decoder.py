@@ -61,7 +61,7 @@ class DecoderParams:
         return self.weights.shape[1]
 
     def copy(self) -> "DecoderParams":
-        return DecoderParams(self.weights.copy(), self.biases.copy())
+        return DecoderParams(self.weights, self.biases)  # __post_init__ copies
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class DecodeResult:
 def init_from_matrix(matrix: CodingMatrix) -> DecoderParams:
     """Decoder whose weights copy the matrix and whose biases all equal L."""
     return DecoderParams(
-        matrix.entries.copy(),
-        np.full(matrix.num_classes, float(matrix.code_length)),
+        matrix.entries, np.full(matrix.num_classes, float(matrix.code_length))
     )
 
 

@@ -12,6 +12,7 @@ returned.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -86,11 +87,17 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.code_length != "auto":
-            if not isinstance(self.code_length, int) or self.code_length < 1:
+            if not isinstance(self.code_length, numbers.Integral) or self.code_length < 1:
                 raise ConfigInvalid(
                     f"code_length must be 'auto' or a positive int, "
                     f"got {self.code_length!r}"
                 )
+        for name in ("max_rounds", "start_round", "decoder_batch",
+                     "decoder_epochs_per_call", "seed", "early_stop_rounds", "threads"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigInvalid(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.max_rounds < 1:
             raise ConfigInvalid(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.start_round < 1:
@@ -231,11 +238,8 @@ def fit(
     t_start = time.perf_counter()
     prev_elapsed = 0.0
 
-    workspaces: list = []  # the tree workers' buffers, kept for the whole fit
     for i in range(1, config.max_rounds + 1):
-        learners.train_round(
-            ensemble, data, matrix, o_train, threads=config.threads, workspaces=workspaces
-        )
+        learners.train_round(ensemble, data, matrix, o_train, threads=config.threads)
         learners.accumulate_round_outputs(ensemble, validation, o_valid)
 
         updated = config.mode == MODE_LIGHTMC and i in cadence

@@ -106,6 +106,14 @@ class TestTrain:
         assert "validation" in assert_one_error_line(capsys)
         assert not out.exists()
 
+    def test_negative_seed_exits_one(self, blob_file, tmp_path, capsys):
+        # the seed also draws the validation split, before fit runs
+        train_path, _ = blob_file
+        code = run(["train", "--data", str(train_path), "--out", str(tmp_path / "m")]
+                   + FAST + ["--seed", "-1"])
+        assert code == 1
+        assert "seed" in assert_one_error_line(capsys)
+
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         code = run(["train", "--data", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "x")] + FAST)

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import resource
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightmc import codebook, data_io, learners
+from lightmc import codebook, data_io, learners, trainer
 from lightmc.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -643,8 +644,9 @@ class TestTreeFitting:
         # group-sized float64 array of the root is about 200 KB, above
         # glibc's default 128 KB mmap threshold. The grower that allocated
         # its node arrays per node took about 20k minor page faults for one
-        # tree; with the workspaces kept from one train_round to the next,
-        # two rounds after the first take almost none
+        # tree; with a workspace per worker and round, two rounds after the
+        # first take about 145 in a fresh process, against about 175 when the
+        # workspaces were kept from one round to the next
         rng = np.random.default_rng(29)
         dense = rng.normal(size=(1000, 100))
         dense[rng.random((1000, 100)) < 0.5] = 0.0
@@ -653,13 +655,31 @@ class TestTreeFitting:
         m = codebook.init_random(3, 3, seed=1)
         ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=31), data.num_features)
         outputs = np.zeros((1000, 3))
-        workspaces: list = []
-        learners.train_round(ensemble, data, m, outputs, workspaces=workspaces)  # warm-up
+        learners.train_round(ensemble, data, m, outputs)  # warm-up
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(2):
-            learners.train_round(ensemble, data, m, outputs, workspaces=workspaces)
+            learners.train_round(ensemble, data, m, outputs)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 2000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workspaces_last_one_round(self, threads):
+        def held() -> int:
+            gc.collect()
+            return sum(isinstance(o, _Workspace) for o in gc.get_objects())
+
+        rng = np.random.default_rng(41)
+        data, valid = random_sparse(rng, 60, 5)[0], random_sparse(rng, 30, 5)[0]
+        m = codebook.init_random(3, 3, seed=2)
+        ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=6), data.num_features)
+        learners.train_round(ensemble, data, m, np.zeros((60, 3)), threads=threads)
+        assert held() == 0
+        # nor does a fit keep them between its rounds
+        config = trainer.TrainConfig(code_length=3, max_rounds=3, start_round=1,
+                                     early_stop_rounds=0, threads=threads)
+        rounds = []
+        trainer.fit(data, valid, config, round_hook=lambda info: rounds.append(held()))
+        assert rounds == [0, 0, 0]
 
     def test_workspace_holds_few_bytes_per_entry(self):
         # the workspace takes 41 bytes per group (the split search's scratch

@@ -50,6 +50,8 @@ class TestConfig:
             TrainConfig(mode="bogus").validate()
         with pytest.raises(ConfigInvalid):
             TrainConfig(max_rounds=0).validate()
+        with pytest.raises(ConfigInvalid, match="seed"):
+            TrainConfig(seed=-1).validate()
         with pytest.raises(ConfigInvalid):
             TrainConfig(gamma1=0.0).validate()
         with pytest.raises(ConfigInvalid):
@@ -63,12 +65,33 @@ class TestConfig:
                 with pytest.raises(ConfigInvalid, match=name):
                     TrainConfig(mode=mode, **{name: value}).validate()
 
+    @pytest.mark.parametrize("name", [
+        "code_length", "max_rounds", "start_round", "decoder_batch",
+        "decoder_epochs_per_call", "seed", "early_stop_rounds", "threads",
+        "learner.max_leaves", "learner.min_samples_leaf", "learner.epochs_per_round",
+    ])
+    @pytest.mark.parametrize("value", [2.5, "3"])
+    def test_count_settings_must_be_integers(self, small_blobs, name, value):
+        train, test, _ = small_blobs
+        cfg = quick_config()
+        if name.startswith("learner."):
+            cfg.learner = replace(cfg.learner, **{name.removeprefix("learner."): value})
+        else:
+            setattr(cfg, name, value)
+        with pytest.raises(ConfigInvalid, match=name.removeprefix("learner.")):
+            trainer.fit(train, test, cfg)
+
     def test_auto_code_length_uses_rule(self):
         cfg = TrainConfig(code_length="auto")
         assert trainer.resolve_code_length(cfg, 20) == 10
         # the rule result is raised to feasibility for small K
         assert trainer.resolve_code_length(cfg, 3) == 3
         assert trainer.resolve_code_length(cfg, 8) == 5
+        for k in range(3, 5000):  # the shortest L with 2^(L-1) > K
+            length = codebook.min_feasible_code_length(k)
+            assert 2 ** (length - 2) <= k < 2 ** (length - 1)
+            suggested = codebook.suggested_code_length(k)
+            assert trainer.resolve_code_length(cfg, k) == max(suggested, length)
 
 
 class TestUpdateCadence:
