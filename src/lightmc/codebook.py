@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleCode,
     InvalidArg,
     ParseError,
+    check_settings,
 )
 
 _HEADER = "lightmc-codebook"
@@ -157,9 +158,8 @@ def suggested_code_length(num_classes: int) -> int:
 
 def min_feasible_code_length(num_classes: int) -> int:
     """Smallest L with 2^(L-1) > K, i.e. the shortest feasible binary code."""
-    if num_classes < 3:
-        raise InvalidArg(f"need at least 3 classes, got {num_classes}")
-    return num_classes.bit_length() + 1
+    check_settings(InvalidArg, (("num_classes", num_classes, int, ">= 3"),))
+    return int(num_classes).bit_length() + 1
 
 
 def hamming_decode(matrix: CodingMatrix, outputs: np.ndarray) -> int:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for numeric settings."""
+
+import math
+import numbers
+import operator
+
+_BOUND_TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class LightMCError(Exception):
@@ -60,3 +66,22 @@ class MissingClass(LightMCError, ValueError):
 
 class ConfigInvalid(LightMCError, ValueError):
     """A training configuration fails validation."""
+
+
+def check_settings(error: type[LightMCError], table) -> None:
+    """Raise `error` naming the first setting in `table` that breaks its rule.
+
+    Each row is (name, value, kind, *bounds). Kind `int` is a count, which
+    must be an integer (bools pass); kind `float` is a real, which must be a
+    finite number. Each bound is an operator and a number, such as ">= 1",
+    "> 0" or "<= 1", and the value must satisfy all of them.
+    """
+    for name, value, kind, *bounds in table:
+        is_number = isinstance(value, numbers.Integral) or (
+            kind is float and isinstance(value, numbers.Real) and math.isfinite(value)
+        )
+        if not (is_number and all(_BOUND_TESTS[op](value, float(limit))
+                                  for op, limit in map(str.split, bounds))):
+            rule = "an integer" if kind is int else "a finite number"
+            rule = f"{rule} {' and '.join(bounds)}".rstrip()
+            raise error(f"{name} must be {rule}, got {value!r}")

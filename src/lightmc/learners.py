@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +52,7 @@ from .errors import (
     InvalidArg,
     NonFiniteGradient,
     ParseError,
+    check_settings,
 )
 
 BOOSTED_TREES = "boosted_trees"
@@ -80,23 +80,12 @@ class LearnerSpec:
     def validate(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidArg(f"unknown learner kind {self.kind!r}")
-        for name in ("max_leaves", "min_samples_leaf", "epochs_per_round"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InvalidArg(f"{name} must be an int, got {getattr(self, name)!r}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise InvalidArg(
-                f"learning rate must be in (0, 1], got {self.learning_rate}"
-            )
-        if self.max_leaves < 2:
-            raise InvalidArg(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if self.min_samples_leaf < 1:
-            raise InvalidArg(
-                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
-            )
-        if self.epochs_per_round < 1:
-            raise InvalidArg(
-                f"epochs_per_round must be >= 1, got {self.epochs_per_round}"
-            )
+        check_settings(InvalidArg, (
+            ("learning_rate", self.learning_rate, float, "> 0", "<= 1"),
+            ("max_leaves", self.max_leaves, int, ">= 2"),
+            ("min_samples_leaf", self.min_samples_leaf, int, ">= 1"),
+            ("epochs_per_round", self.epochs_per_round, int, ">= 1"),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +432,10 @@ def new_ensemble(
     code_length: int, spec: LearnerSpec, num_features: int, seed: int = 0
 ) -> BaseLearnerEnsemble:
     spec.validate()
-    if code_length < 1:
-        raise InvalidArg(f"code length must be >= 1, got {code_length}")
-    if num_features < 1:
-        raise InvalidArg(f"num_features must be >= 1, got {num_features}")
+    check_settings(InvalidArg, (
+        ("code_length", code_length, int, ">= 1"),
+        ("num_features", num_features, int, ">= 1"),
+    ))
     ensemble = BaseLearnerEnsemble(spec, num_features, seed, trees=[])
     if ensemble.is_boosting:
         ensemble.trees = [[] for _ in range(code_length)]

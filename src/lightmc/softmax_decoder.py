@@ -25,6 +25,7 @@ from .errors import (
     InvalidArg,
     NonFiniteGradient,
     NonFiniteInput,
+    check_settings,
 )
 
 _HEADER = "lightmc-decoder"
@@ -227,14 +228,12 @@ def train_decoding(
     if n < 1:
         raise InvalidArg("need at least one instance")
     labels = check_labels(labels, params.num_classes, n)
-    if lr <= 0:
-        raise InvalidArg(f"learning rate must be positive, got {lr}")
-    if batch_size < 1:
-        raise InvalidArg(f"batch size must be >= 1, got {batch_size}")
-    if epochs < 0:
-        raise InvalidArg(f"epochs must be >= 0, got {epochs}")
-    if l2 < 0:
-        raise InvalidArg(f"l2 must be >= 0, got {l2}")
+    check_settings(InvalidArg, (
+        ("lr", lr, float, "> 0"),
+        ("batch_size", batch_size, int, ">= 1"),
+        ("epochs", epochs, int, ">= 0"),
+        ("l2", l2, float, ">= 0"),
+    ))
     if not np.all(np.isfinite(o)):
         raise NonFiniteInput("base-learner outputs contain NaN/Inf")
 

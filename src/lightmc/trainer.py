@@ -11,7 +11,6 @@ returned.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 import time
@@ -32,7 +31,8 @@ from .data_io import (
     write_csv,
 )
 from .errors import (
-    ConfigInvalid, DimensionMismatch, EmptyDataset, MissingClass, ParseError
+    ConfigInvalid, DimensionMismatch, EmptyDataset, MissingClass, ParseError,
+    check_settings,
 )
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
@@ -92,38 +92,19 @@ class TrainConfig:
                     f"code_length must be 'auto' or a positive int, "
                     f"got {self.code_length!r}"
                 )
-        for name in ("max_rounds", "start_round", "decoder_batch",
-                     "decoder_epochs_per_call", "seed", "early_stop_rounds", "threads"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigInvalid(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
-        if self.max_rounds < 1:
-            raise ConfigInvalid(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.start_round < 1:
-            raise ConfigInvalid(f"start_round must be >= 1, got {self.start_round}")
-        if self.early_stop_rounds < 0:
-            raise ConfigInvalid(
-                f"early_stop_rounds must be >= 0, got {self.early_stop_rounds}"
-            )
-        if self.decoder_batch < 1:
-            raise ConfigInvalid(f"decoder_batch must be >= 1, got {self.decoder_batch}")
-        if self.decoder_epochs_per_call < 0:
-            raise ConfigInvalid(
-                f"decoder_epochs_per_call must be >= 0, "
-                f"got {self.decoder_epochs_per_call}"
-            )
-        for name in ("gamma1", "gamma2", "l2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)}")
-        if self.l2 < 0:
-            raise ConfigInvalid(f"l2 must be >= 0, got {self.l2}")
-        if self.threads < 1:
-            raise ConfigInvalid(f"threads must be >= 1, got {self.threads}")
-        if self.mode == MODE_LIGHTMC and self.gamma1 <= 0:
-            raise ConfigInvalid(f"gamma1 must be > 0, got {self.gamma1}")
-        if self.mode == MODE_LIGHTMC and self.gamma2 <= 0:
-            raise ConfigInvalid(f"gamma2 must be > 0, got {self.gamma2}")
+        gamma_bound = ("> 0",) if self.mode == MODE_LIGHTMC else ()
+        check_settings(ConfigInvalid, (
+            ("max_rounds", self.max_rounds, int, ">= 1"),
+            ("start_round", self.start_round, int, ">= 1"),
+            ("decoder_batch", self.decoder_batch, int, ">= 1"),
+            ("decoder_epochs_per_call", self.decoder_epochs_per_call, int, ">= 0"),
+            ("seed", self.seed, int, ">= 0"),
+            ("early_stop_rounds", self.early_stop_rounds, int, ">= 0"),
+            ("threads", self.threads, int, ">= 1"),
+            ("gamma1", self.gamma1, float, *gamma_bound),
+            ("gamma2", self.gamma2, float, *gamma_bound),
+            ("l2", self.l2, float, ">= 0"),
+        ))
         try:
             self.learner.validate()
         except Exception as exc:
@@ -280,7 +261,7 @@ def fit(
 
         if valid_error < best_error:
             best_error = valid_error
-            best = (matrix, decoder.copy(), i)
+            best = (matrix, decoder, i)
             if not ensemble.is_boosting:
                 best_linear = (ensemble.weights.copy(), ensemble.bias.copy())
             stall = 0

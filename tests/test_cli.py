@@ -114,6 +114,23 @@ class TestTrain:
         assert code == 1
         assert "seed" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--threads", "0"], "threads must be an integer >= 1, got 0"),
+        ("l2=-1\n", "l2 must be a finite number >= 0, got -1.0"),
+    ], ids=["flag", "config-file"])
+    def test_setting_outside_its_bound_exits_one(self, setting, message, blob_file,
+                                                 tmp_path, capsys):
+        train_path, _ = blob_file
+        if isinstance(setting, str):  # a config file's text
+            config = tmp_path / "bad.cfg"
+            config.write_text(setting)
+            setting = ["--config", str(config)]
+        out = tmp_path / "none"
+        code = run(["train", "--data", str(train_path), "--out", str(out)] + setting)
+        assert code == 1
+        assert assert_one_error_line(capsys) == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         code = run(["train", "--data", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "x")] + FAST)

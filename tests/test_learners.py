@@ -307,14 +307,25 @@ class TestLearnerSpec:
         LearnerSpec().validate()
         with pytest.raises(InvalidArg):
             LearnerSpec(kind="forest").validate()
-        with pytest.raises(InvalidArg):
-            LearnerSpec(learning_rate=0.0).validate()
-        with pytest.raises(InvalidArg):
+        for name, value in (
+            ("learning_rate", 0.0), ("learning_rate", np.nextafter(1.0, 2.0)),
+            ("learning_rate", "0.1"), ("learning_rate", None),
+            ("max_leaves", 1), ("max_leaves", None),
+            ("min_samples_leaf", 0), ("min_samples_leaf", "0.1"),
+            ("epochs_per_round", 0), ("epochs_per_round", 1.5),
+        ):
+            with pytest.raises(InvalidArg, match=f"^{name} must be"):
+                LearnerSpec(**{name: value}).validate()
+        with pytest.raises(InvalidArg) as exc:
             LearnerSpec(learning_rate=1.5).validate()
-        with pytest.raises(InvalidArg):
-            LearnerSpec(max_leaves=1).validate()
-        with pytest.raises(InvalidArg):
-            LearnerSpec(min_samples_leaf=0).validate()
+        assert str(exc.value) == "learning_rate must be a finite number > 0 and <= 1, got 1.5"
+        # the sizes new_ensemble takes besides the spec
+        for name, code_length, num_features in (
+            ("code_length", 0, 3), ("code_length", None, 3),
+            ("num_features", 3, 0), ("num_features", 3, "3"),
+        ):
+            with pytest.raises(InvalidArg, match=f"^{name} must be"):
+                learners.new_ensemble(code_length, LearnerSpec(), num_features)
 
 
 class TestMakeTargets:

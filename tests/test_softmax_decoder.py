@@ -221,6 +221,12 @@ class TestTrainDecoding:
             sd.train_decoding(params, outputs, labels, -0.1)
         with pytest.raises(InvalidArg):
             sd.train_decoding(params, outputs, labels, 0.1, batch_size=0)
+        for name, value in (
+            ("lr", 0.0), ("lr", "0.1"), ("batch_size", 0), ("batch_size", 2.5),
+            ("epochs", -1), ("epochs", 1.5), ("l2", -5e-324), ("l2", None),
+        ):
+            with pytest.raises(InvalidArg, match=f"^{name} must be"):
+                sd.train_decoding(params, outputs, labels, **{"lr": 0.1, name: value})
 
     def test_l2_shrinks_weight_norm_at_optimum_scale(self):
         params, outputs, labels = self._random_problem(7)

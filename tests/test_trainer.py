@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightmc import codebook, data_io, learners, softmax_decoder as sd, synthetic, trainer
-from lightmc.errors import ConfigInvalid, DimensionMismatch, MissingClass
+from lightmc.errors import ConfigInvalid, DimensionMismatch, InvalidArg, MissingClass
 from lightmc.learners import BOOSTED_TREES, LINEAR_SGD, LearnerSpec
 from lightmc.trainer import MODES, TrainConfig, update_rounds
 
@@ -70,7 +70,7 @@ class TestConfig:
         "decoder_epochs_per_call", "seed", "early_stop_rounds", "threads",
         "learner.max_leaves", "learner.min_samples_leaf", "learner.epochs_per_round",
     ])
-    @pytest.mark.parametrize("value", [2.5, "3"])
+    @pytest.mark.parametrize("value", [2.5, "3", None])
     def test_count_settings_must_be_integers(self, small_blobs, name, value):
         train, test, _ = small_blobs
         cfg = quick_config()
@@ -81,7 +81,37 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match=name.removeprefix("learner.")):
             trainer.fit(train, test, cfg)
 
-    def test_auto_code_length_uses_rule(self):
+    @pytest.mark.parametrize("name, value, rule", [
+        ("max_rounds", 0, "an integer >= 1"),
+        ("start_round", 0, "an integer >= 1"),
+        ("decoder_batch", 0, "an integer >= 1"),
+        ("decoder_epochs_per_call", -1, "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+        ("early_stop_rounds", -1, "an integer >= 0"),
+        ("threads", 0, "an integer >= 1"),
+        ("gamma1", 0.0, "a finite number > 0"),
+        ("gamma2", 0.0, "a finite number > 0"),
+        ("l2", -5e-324, "a finite number >= 0"),  # the negative float nearest 0
+        ("gamma1", "0.1", "a finite number > 0"),
+        ("gamma1", None, "a finite number > 0"),
+        ("gamma2", "0.1", "a finite number > 0"),
+        ("gamma2", None, "a finite number > 0"),
+        ("l2", "0.1", "a finite number >= 0"),
+        ("l2", None, "a finite number >= 0"),
+    ])
+    def test_settings_outside_their_bounds(self, name, value, rule):
+        with pytest.raises(ConfigInvalid) as exc:
+            TrainConfig(**{name: value}).validate()
+        assert str(exc.value) == f"{name} must be {rule}, got {value!r}"
+
+    def test_gamma_bounds_apply_only_to_lightmc(self):
+        for mode in (trainer.MODE_ECOC_FIXED, trainer.MODE_OVA):
+            TrainConfig(mode=mode, gamma1=0.0, gamma2=-1.0).validate()
+            with pytest.raises(ConfigInvalid) as exc:
+                TrainConfig(mode=mode, gamma2="0.1").validate()
+            assert str(exc.value) == "gamma2 must be a finite number, got '0.1'"
+
+    def test_auto_code_length_uses_rule(self, small_blobs):
         cfg = TrainConfig(code_length="auto")
         assert trainer.resolve_code_length(cfg, 20) == 10
         # the rule result is raised to feasibility for small K
@@ -92,6 +122,19 @@ class TestConfig:
             assert 2 ** (length - 2) <= k < 2 ** (length - 1)
             suggested = codebook.suggested_code_length(k)
             assert trainer.resolve_code_length(cfg, k) == max(suggested, length)
+        for integer in (np.int64, np.int32):  # any integer type counts classes
+            assert codebook.min_feasible_code_length(integer(20)) == 6
+            assert trainer.resolve_code_length(cfg, integer(20)) == 10
+        for value in (2, 20.0, "20", None):
+            with pytest.raises(InvalidArg, match="num_classes"):
+                codebook.min_feasible_code_length(value)
+        train, test, _ = small_blobs
+        auto = quick_config(code_length="auto", max_rounds=3)
+        k = np.int64(train.num_classes)
+        numpy_k = trainer.fit(replace(train, num_classes=k), test, auto)
+        plain = trainer.fit(train, test, auto)
+        assert np.array_equal(numpy_k.matrix.entries, plain.matrix.entries)
+        assert np.array_equal(trainer.predict(numpy_k, test), trainer.predict(plain, test))
 
 
 class TestUpdateCadence:
