@@ -42,10 +42,10 @@ class CodingMatrix:
         if m.ndim != 2:
             raise InvalidArg(f"coding matrix must be 2-D, got ndim={m.ndim}")
         num_classes, code_length = m.shape
-        if num_classes < 3:
-            raise InvalidArg(f"need at least 3 classes, got {num_classes}")
-        if code_length < 1:
-            raise InvalidArg(f"code length must be >= 1, got {code_length}")
+        check_settings(InvalidArg, (
+            ("num_classes", num_classes, int, ">= 3"),
+            ("code_length", code_length, int, ">= 1"),
+        ))
         if not np.all(np.isfinite(m)):
             raise InvalidArg("coding matrix entries must be finite")
         m.setflags(write=False)
@@ -60,8 +60,7 @@ class CodingMatrix:
         return self.entries.shape[1]
 
     def row(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.num_classes:
-            raise IndexOutOfRange(f"class index {k} not in [0, {self.num_classes})")
+        check_settings(IndexOutOfRange, (("k", k, int, ">= 0", f"< {self.num_classes}"),))
         return self.entries[k]
 
 
@@ -114,10 +113,11 @@ def init_random(num_classes: int, code_length: int, seed: int) -> CodingMatrix:
     distinct/non-complementary constraint and constant columns are redrawn
     until the matrix is valid.
     """
-    if num_classes < 3:
-        raise InvalidArg(f"need at least 3 classes, got {num_classes}")
-    if code_length < 1:
-        raise InvalidArg(f"code length must be >= 1, got {code_length}")
+    check_settings(InvalidArg, (
+        ("num_classes", num_classes, int, ">= 3"),
+        ("code_length", code_length, int, ">= 1"),
+        ("seed", seed, int, ">= 0"),
+    ))
     if 2 ** (code_length - 1) <= num_classes:
         raise InfeasibleCode(
             f"2^(L-1) = {2 ** (code_length - 1)} <= K = {num_classes}: "
@@ -150,8 +150,7 @@ def suggested_code_length(num_classes: int) -> int:
 
     Rounding is Python's round (ties to even).
     """
-    if num_classes < 3:
-        raise InvalidArg(f"need at least 3 classes, got {num_classes}")
+    check_settings(InvalidArg, (("num_classes", num_classes, int, ">= 3"),))
     raw = min(5.0 * math.log2(num_classes - 1) + 1.0, num_classes / 2.0)
     return max(1, round(raw))
 
@@ -185,7 +184,11 @@ def codeword_distance(matrix: CodingMatrix, class_a: int, class_b: int) -> float
     On binary rows this equals 4x the Hamming distance, so distance reports
     stay comparable before and after the matrix becomes real-valued.
     """
-    diff = matrix.row(class_a) - matrix.row(class_b)
+    rule = (int, ">= 0", f"< {matrix.num_classes}")
+    check_settings(IndexOutOfRange, (
+        ("class_a", class_a, *rule), ("class_b", class_b, *rule),
+    ))
+    diff = matrix.entries[class_a] - matrix.entries[class_b]
     return float(np.dot(diff, diff))
 
 

@@ -21,6 +21,7 @@ from .errors import (
     InvalidArg,
     ParseError,
     TooFewInstances,
+    check_settings,
 )
 
 MAX_FEATURE_INDEX = 2**31 - 1  # the 32-bit feature ids of LIBSVM-format readers
@@ -238,6 +239,8 @@ def load_sparse_text(
     finished arrays about twice. A block that fails any check is parsed
     again line by line, to name the bad line.
     """
+    if num_features is not None:
+        check_settings(InvalidArg, (("num_features", num_features, int, ">= 0"),))
     shift = 0 if zero_based else 1
     mapping: dict[str, int] = (
         {name: k for k, name in enumerate(label_names)} if label_names else {}
@@ -557,8 +560,10 @@ def stratified_split(
     The validation share of class k is round(n_k * valid_fraction), clamped
     to [0, n_k - 1]. Row order within each side follows the original file.
     """
-    if not 0.0 < valid_fraction < 1.0:
-        raise InvalidArg(f"valid fraction must be in (0, 1), got {valid_fraction}")
+    check_settings(InvalidArg, (
+        ("valid_fraction", valid_fraction, float, "> 0", "< 1"),
+        ("seed", seed, int, ">= 0"),
+    ))
     counts = np.bincount(data.labels, minlength=data.num_classes)
     thin = np.flatnonzero(counts < 2)
     if thin.size:

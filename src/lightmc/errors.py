@@ -4,7 +4,7 @@ import math
 import numbers
 import operator
 
-_BOUND_TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_BOUND_TESTS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class LightMCError(Exception):
@@ -74,7 +74,7 @@ def check_settings(error: type[LightMCError], table) -> None:
     Each row is (name, value, kind, *bounds). Kind `int` is a count, which
     must be an integer (bools pass); kind `float` is a real, which must be a
     finite number. Each bound is an operator and a number, such as ">= 1",
-    "> 0" or "<= 1", and the value must satisfy all of them.
+    "> 0", "< 3" or "<= 1", and the value must satisfy all of them.
     """
     for name, value, kind, *bounds in table:
         is_number = isinstance(value, numbers.Integral) or (

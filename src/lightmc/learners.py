@@ -447,8 +447,9 @@ def new_ensemble(
 
 def make_targets(matrix: CodingMatrix, labels: np.ndarray, column: int) -> np.ndarray:
     """Regression targets of one column: the labelled row's entry there."""
-    if not 0 <= column < matrix.code_length:
-        raise IndexOutOfRange(f"column {column} not in [0, {matrix.code_length})")
+    check_settings(IndexOutOfRange, (
+        ("column", column, int, ">= 0", f"< {matrix.code_length}"),
+    ))
     labels = check_labels(labels, matrix.num_classes, np.size(labels))
     return matrix.entries[labels, column]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodingMatrix, check_labels
-from .errors import DimensionMismatch, InvalidArg, NonFiniteGradient
+from .errors import DimensionMismatch, InvalidArg, NonFiniteGradient, check_settings
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ def accumulate(
     g = np.asarray(grad_rows, dtype=np.float64)
     if g.ndim != 2:
         raise DimensionMismatch(f"gradient rows must be 2-D, got ndim={g.ndim}")
-    if num_classes < 1:
-        raise InvalidArg(f"num_classes must be positive, got {num_classes}")
+    check_settings(InvalidArg, (("num_classes", num_classes, int, ">= 1"),))
     labels = check_labels(labels, num_classes, g.shape[0])
     sums = np.zeros((num_classes, g.shape[1]))
     np.add.at(sums, labels, g)
@@ -52,8 +51,7 @@ def update_matrix(
     Rows whose class count is zero are copied unchanged (the average
     gradient is undefined there).
     """
-    if lr <= 0:
-        raise InvalidArg(f"learning rate must be positive, got {lr}")
+    check_settings(InvalidArg, (("lr", lr, float, "> 0"),))
     if stats.sums.shape != matrix.entries.shape:
         raise DimensionMismatch(
             f"stats shape {stats.sums.shape} does not match matrix "

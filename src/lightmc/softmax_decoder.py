@@ -89,15 +89,21 @@ def _softmax_rows(t: np.ndarray) -> np.ndarray:
     return np.clip(p, 1e-300, np.nextafter(1.0, 0.0))
 
 
-def batch_scores(params: DecoderParams, outputs: np.ndarray) -> np.ndarray:
-    """Scores t for a batch of output rows, shape (N, K)."""
+def _outputs(params: DecoderParams, outputs, ndim: int = 2) -> np.ndarray:
+    """Base-learner outputs as float64: `ndim` axes, the last of length L, all finite."""
     o = np.asarray(outputs, dtype=np.float64)
-    if o.ndim != 2 or o.shape[1] != params.code_length:
+    if o.ndim != ndim or o.shape[-1] != params.code_length:
         raise DimensionMismatch(
-            f"expected (N, {params.code_length}) outputs, got {o.shape}"
+            f"expected {ndim}-D outputs of length {params.code_length}, got {o.shape}"
         )
     if not np.all(np.isfinite(o)):
         raise NonFiniteInput("base-learner outputs contain NaN/Inf")
+    return o
+
+
+def batch_scores(params: DecoderParams, outputs: np.ndarray) -> np.ndarray:
+    """Scores t for a batch of output rows, shape (N, K)."""
+    o = _outputs(params, outputs)
     with np.errstate(over="raise"):
         try:
             return 0.5 * (o @ params.weights.T + params.biases)
@@ -118,12 +124,7 @@ def batch_predict(params: DecoderParams, outputs: np.ndarray) -> np.ndarray:
 
 def decode(params: DecoderParams, outputs: np.ndarray) -> DecodeResult:
     """Decode one output vector into scores, probabilities, and a class."""
-    o = np.asarray(outputs, dtype=np.float64)
-    if o.shape != (params.code_length,):
-        raise DimensionMismatch(
-            f"expected {params.code_length} outputs, got shape {o.shape}"
-        )
-    t = batch_scores(params, o[None, :])[0]
+    t = batch_scores(params, _outputs(params, outputs, ndim=1)[None, :])[0]
     p = _softmax_rows(t[None, :])[0]
     return DecodeResult(scores=t, probabilities=p, predicted=int(np.argmax(p)))
 
@@ -131,8 +132,7 @@ def decode(params: DecoderParams, outputs: np.ndarray) -> DecodeResult:
 def loss(probabilities: np.ndarray, label: int) -> float:
     """Summed binary cross-entropy over all K outputs for one instance."""
     p = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= label < p.shape[0]:
-        raise IndexOutOfRange(f"label {label} not in [0, {p.shape[0]})")
+    check_settings(IndexOutOfRange, (("label", label, int, ">= 0", f"< {p.shape[0]}"),))
     p = np.clip(p, _EPS, 1.0 - _EPS)
     log_others = np.log1p(-p)
     return float(-(np.log(p[label]) - log_others[label] + log_others.sum()))
@@ -164,13 +164,10 @@ def loss_gradients(
     Returns (d/dweights: K x L, d/dbiases: K, d/doutputs: L). The score map
     contributes the 0.5 factor everywhere.
     """
-    o = np.asarray(outputs, dtype=np.float64)
-    if o.shape != (params.code_length,):
-        raise DimensionMismatch(
-            f"expected {params.code_length} outputs, got shape {o.shape}"
-        )
-    if not 0 <= label < params.num_classes:
-        raise IndexOutOfRange(f"label {label} not in [0, {params.num_classes})")
+    o = _outputs(params, outputs, ndim=1)
+    check_settings(IndexOutOfRange, (
+        ("label", label, int, ">= 0", f"< {params.num_classes}"),
+    ))
     dt = _batch_score_gradients(params, o[None, :], np.array([label]))[0]
     return 0.5 * np.outer(dt, o), 0.5 * dt, 0.5 * (dt @ params.weights)
 
@@ -219,11 +216,7 @@ def train_decoding(
     the last short batch is kept. Weights take the L2 penalty, biases do
     not. The input params are never mutated.
     """
-    o = np.asarray(outputs_batch, dtype=np.float64)
-    if o.ndim != 2 or o.shape[1] != params.code_length:
-        raise DimensionMismatch(
-            f"expected (N, {params.code_length}) outputs, got {o.shape}"
-        )
+    o = _outputs(params, outputs_batch)
     n = o.shape[0]
     if n < 1:
         raise InvalidArg("need at least one instance")
@@ -234,8 +227,6 @@ def train_decoding(
         ("epochs", epochs, int, ">= 0"),
         ("l2", l2, float, ">= 0"),
     ))
-    if not np.all(np.isfinite(o)):
-        raise NonFiniteInput("base-learner outputs contain NaN/Inf")
 
     updated = params.copy()
     rng = np.random.default_rng(seed)

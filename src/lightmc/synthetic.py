@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_io import SparseDataset, from_dense
-from .errors import InvalidArg
+from .errors import InvalidArg, check_settings
 
 
 def make_paired_blobs(
@@ -29,10 +29,13 @@ def make_paired_blobs(
     Returns (train, test, pairs) where pairs lists the correlated class
     index pairs (2p, 2p + 1).
     """
-    if num_pairs < 2:
-        raise InvalidArg("need at least 2 pairs (4 classes)")
-    if min(train_per_class, test_per_class, num_features) < 1:
-        raise InvalidArg("counts and feature dimension must be positive")
+    check_settings(InvalidArg, (
+        ("num_pairs", num_pairs, int, ">= 2"),
+        ("train_per_class", train_per_class, int, ">= 1"),
+        ("test_per_class", test_per_class, int, ">= 1"),
+        ("num_features", num_features, int, ">= 1"),
+        ("seed", seed, int, ">= 0"),
+    ))
     rng = np.random.default_rng(seed)
     num_classes = 2 * num_pairs
     centers = np.empty((num_classes, num_features))

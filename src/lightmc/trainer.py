@@ -11,7 +11,6 @@ returned.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,8 +30,8 @@ from .data_io import (
     write_csv,
 )
 from .errors import (
-    ConfigInvalid, DimensionMismatch, EmptyDataset, MissingClass, ParseError,
-    check_settings,
+    ConfigInvalid, DimensionMismatch, EmptyDataset, InvalidArg, MissingClass,
+    ParseError, check_settings,
 )
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
@@ -87,11 +86,7 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.code_length != "auto":
-            if not isinstance(self.code_length, numbers.Integral) or self.code_length < 1:
-                raise ConfigInvalid(
-                    f"code_length must be 'auto' or a positive int, "
-                    f"got {self.code_length!r}"
-                )
+            check_settings(ConfigInvalid, (("code_length", self.code_length, int, ">= 1"),))
         gamma_bound = ("> 0",) if self.mode == MODE_LIGHTMC else ()
         check_settings(ConfigInvalid, (
             ("max_rounds", self.max_rounds, int, ">= 1"),
@@ -105,9 +100,11 @@ class TrainConfig:
             ("gamma2", self.gamma2, float, *gamma_bound),
             ("l2", self.l2, float, ">= 0"),
         ))
+        if not isinstance(self.learner, LearnerSpec):
+            raise ConfigInvalid(f"learner must be a LearnerSpec, got {self.learner!r}")
         try:
             self.learner.validate()
-        except Exception as exc:
+        except InvalidArg as exc:
             raise ConfigInvalid(str(exc)) from None
 
 
@@ -339,8 +336,9 @@ def save_model(model: TrainedModel, out_dir) -> None:
 
 def load_model(model_dir) -> TrainedModel:
     out = Path(model_dir)
+    meta_path = out / _META_NAME
     keys = {key: key for key in _META_KEYS}
-    meta = {key: value for _, key, value in read_settings(out / _META_NAME, keys)}
+    meta = {key: value for _, key, value in read_settings(meta_path, keys)}
     if meta.get("format") != "lightmc-model v1":
         raise ParseError(f"{out}: unrecognized model bundle")
     matrix = codebook.load_matrix(out / _FILES["codebook"])
@@ -357,13 +355,13 @@ def load_model(model_dir) -> TrainedModel:
         mode, best_round = meta["mode"], int(meta["best_round"])
         declared = {key: int(meta[key]) for key in found}
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"{out / _META_NAME}: missing or bad field ({exc})") from None
+        raise ParseError(f"{meta_path}: missing or bad field ({exc})") from None
     if mode not in MODES or not 1 <= best_round <= len(history):
-        raise ParseError(f"{out}: bad mode {mode!r} or best_round {best_round}")
+        raise ParseError(f"{meta_path}: bad mode {mode!r} or best_round {best_round}")
     for key, sizes in found.items():
         if sizes != {declared[key]}:
             raise ParseError(
-                f"{out / _META_NAME}: {key}={declared[key]} does not match "
+                f"{meta_path}: {key}={declared[key]} does not match "
                 f"the bundle files ({', '.join(map(str, sorted(sizes)))})"
             )
     return TrainedModel(

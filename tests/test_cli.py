@@ -137,12 +137,18 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_flag_exits_two(self, blob_file, tmp_path):
+    def test_bad_flag_exits_two(self, blob_file, tmp_path, capsys):
         train_path, _ = blob_file
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--data", str(train_path), "--out", str(tmp_path / "y"),
-                 "--mode", "bogus"])
-        assert exc.value.code == 2
+        for flag, message in [
+            (["--mode", "bogus"], "'bogus'"),
+            (["--code-length", "x"], "expected 'auto' or an integer, got 'x'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                run(["train", "--data", str(train_path), "--out", str(tmp_path / "y")]
+                    + flag)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
 
 class TestConfigFile:
@@ -272,10 +278,10 @@ def _edit_lines(path, edit, *args):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _set_best_round(lines, value):
-    lines[:] = [ln for ln in lines if not ln.startswith("best_round=")]
+def _set_meta(lines, key, value):
+    lines[:] = [ln for ln in lines if not ln.startswith(f"{key}=")]
     if value is not None:
-        lines.append(f"best_round={value}")
+        lines.append(f"{key}={value}")
 
 
 def _set_line(lines, index, text):
@@ -303,6 +309,12 @@ def _edit_tree_line(lines, offset, edit):
     lines[at] = " ".join(edit(lines[at].split()))
 
 
+def _keep_classes(lines, count):
+    """Keep the codebook rows of the first `count` classes, and say so in the header."""
+    _set_field(lines, 0, 2, str(count))
+    del lines[count + 1:]
+
+
 def _keep_first(lines, count):
     assert len(lines) > count
     del lines[count:]
@@ -326,8 +338,10 @@ def _as_linear_with_first_weight(lines, weight):
 # case -> (bundle file, edit, edit arguments); each edit leaves a bundle
 # the loader must reject
 CORRUPTIONS = {
-    "meta_without_best_round": ("meta.txt", _set_best_round, None),
-    "meta_non_integer_best_round": ("meta.txt", _set_best_round, "seven"),
+    "meta_without_best_round": ("meta.txt", _set_meta, "best_round", None),
+    "meta_non_integer_best_round": ("meta.txt", _set_meta, "best_round", "seven"),
+    "meta_best_round_past_history": ("meta.txt", _set_meta, "best_round", "99"),
+    "meta_unknown_mode": ("meta.txt", _set_meta, "mode", "bogus"),
     "history_non_numeric_row": ("history.csv", _set_line, 1, "1,abc,0.1,0.2"),
     "tree_root_is_its_own_left_child": ("ensemble.txt", _set_root_field, 3, "0"),
     "tree_feature_out_of_range": ("ensemble.txt", _set_root_field, 1, "8"),
@@ -341,6 +355,10 @@ CORRUPTIONS = {
     "meta_junk_line": ("meta.txt", list.append, "junk"),
     "codebook_extra_row": ("codebook.txt", list.append, "1.0 -1.0 1.0 -1.0"),
     "codebook_nan": ("codebook.txt", _set_field, 1, 0, "nan"),
+    "codebook_two_classes": ("codebook.txt", _keep_classes, 2),
+    "codebook_header_word_count": ("codebook.txt", _set_field, 0, 2, "four"),
+    "ensemble_unknown_kind": ("ensemble.txt", _set_field, 0, 3, "forest"),
+    "ensemble_features_not_a_number": ("ensemble.txt", _set_line, 2, "features x"),
     "decoder_extra_row": ("decoder.txt", list.append, "1.0 -1.0 1.0 -1.0"),
     "decoder_weight_inf": ("decoder.txt", _set_field, 1, 0, "inf"),
     "decoder_bias_nan": ("decoder.txt", _set_field, -1, 0, "nan"),

@@ -32,8 +32,9 @@ class TestCodingMatrix:
 
     def test_row_bounds(self):
         m = codebook.init_random(4, 4, seed=0)
-        with pytest.raises(IndexOutOfRange):
-            m.row(4)
+        for k in (4, -1, 1.5, "0"):
+            with pytest.raises(IndexOutOfRange, match="^k must be an integer >= 0 and < 4"):
+                m.row(k)
 
 
 class TestInitRandom:
@@ -48,10 +49,16 @@ class TestInitRandom:
             codebook.init_random(4, 2, seed=0)
 
     def test_bad_dimensions(self):
-        with pytest.raises(InvalidArg):
-            codebook.init_random(2, 3, seed=0)
-        with pytest.raises(InvalidArg):
-            codebook.init_random(5, 0, seed=0)
+        for args, name in [
+            ((2, 3, 0), "num_classes"),
+            ((4.0, 5, 0), "num_classes"),
+            ((5, 0, 0), "code_length"),
+            ((4, 4.5, 0), "code_length"),
+            ((4, 5, -1), "seed"),
+            ((4, 5, "0"), "seed"),
+        ]:
+            with pytest.raises(InvalidArg, match=f"^{name} must be an integer"):
+                codebook.init_random(*args)
 
     def test_twenty_class_code_length(self):
         length = codebook.suggested_code_length(20)
@@ -98,8 +105,9 @@ class TestSuggestedCodeLength:
             assert codebook.suggested_code_length(k) == max(1, round(raw))
 
     def test_too_few_classes(self):
-        with pytest.raises(InvalidArg):
-            codebook.suggested_code_length(2)
+        for k in (2, 20.5, "20"):
+            with pytest.raises(InvalidArg, match="^num_classes must be an integer >= 3"):
+                codebook.suggested_code_length(k)
 
 
 class TestHammingDecode:
@@ -155,8 +163,11 @@ class TestCodewordDistance:
 
     def test_out_of_range(self):
         m = codebook.init_random(4, 4, seed=0)
-        with pytest.raises(IndexOutOfRange):
-            codebook.codeword_distance(m, 0, 4)
+        for pair, name in [
+            ((0, 4), "class_b"), ((-1, 0), "class_a"), (("0", 1), "class_a"), ((0, 1.0), "class_b"),
+        ]:
+            with pytest.raises(IndexOutOfRange, match=f"^{name} must be an integer >= 0 and < 4"):
+                codebook.codeword_distance(m, *pair)
 
 
 class TestSerialization:

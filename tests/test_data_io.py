@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lightmc import cli, codebook, data_io, softmax_decoder as sd, trainer
+from lightmc import cli, codebook, data_io, softmax_decoder as sd, synthetic, trainer
 from lightmc.errors import (
     EmptyFile,
     InvalidArg,
@@ -86,6 +86,9 @@ class TestLoadSparseText:
         assert data.num_features == 10
         with pytest.raises(ParseError):
             data_io.load_sparse_text(path, num_features=1)
+        for bad in (-1, 2.5, "5"):
+            with pytest.raises(InvalidArg, match="^num_features must be an integer >= 0"):
+                data_io.load_sparse_text(path, num_features=bad)
 
     def test_frozen_label_mapping(self, tmp_path):
         path = write(tmp_path, "b 1:1.0\na 1:2.0\n")
@@ -362,6 +365,31 @@ class TestStratifiedSplit:
         data = self._uniform(per_class=10)
         with pytest.raises(InvalidArg):
             data_io.stratified_split(data, 1.5, seed=0)
+        rule = "^valid_fraction must be a finite number > 0 and < 1,"
+        for fraction in (0.0, 1.0, "0.2", float("nan")):
+            with pytest.raises(InvalidArg, match=rule):
+                data_io.stratified_split(data, fraction, seed=0)
+        for seed in (-1, 0.5):
+            with pytest.raises(InvalidArg, match="^seed must be an integer >= 0"):
+                data_io.stratified_split(data, 0.2, seed=seed)
+
+
+class TestPairedBlobs:
+    def test_bad_sizes(self):
+        for args, name in [
+            ((1,), "num_pairs"),
+            ((2.5,), "num_pairs"),
+            ((2, 0), "train_per_class"),
+            ((2, "5"), "train_per_class"),
+            ((2, 5, 0), "test_per_class"),
+            ((2, 5, 2.0), "test_per_class"),
+            ((2, 5, 2, 0), "num_features"),
+            ((2, 5, 2, None), "num_features"),
+            ((2, 5, 2, 3, -1), "seed"),
+            ((2, 5, 2, 3, "0"), "seed"),
+        ]:
+            with pytest.raises(InvalidArg, match=f"^{name} must be an integer"):
+                synthetic.make_paired_blobs(*args)
 
 
 class TestSparseDatasetViews:

@@ -341,8 +341,9 @@ class TestMakeTargets:
 
     def test_bounds(self):
         m = codebook.init_random(4, 4, seed=0)
-        with pytest.raises(IndexOutOfRange):
-            learners.make_targets(m, np.array([0]), 4)
+        for column in (4, -1, 1.5, "0"):
+            with pytest.raises(IndexOutOfRange, match="^column must be an integer >= 0 and < 4"):
+                learners.make_targets(m, np.array([0]), column)
         with pytest.raises(IndexOutOfRange):
             learners.make_targets(m, np.array([5]), 0)
 
@@ -397,6 +398,19 @@ class TestSplitSearch:
             assert got is None or got[1] < width
             splits += got is not None
         assert splits > 100
+
+    def test_midpoint_rounding_up_keeps_the_cut(self):
+        # lo and hi are adjacent doubles, so their midpoint rounds to hi; a
+        # threshold of hi would send both values left
+        eps = np.spacing(1.0)
+        lo, hi = 1.0 + eps, 1.0 + 2 * eps
+        assert 0.5 * (lo + hi) == hi
+        data = data_io.from_dense(np.array([[lo], [lo], [hi], [hi]]), np.zeros(4, dtype=int))
+        residuals = np.array([-1.0, -1.0, 1.0, 1.0])
+        spec = LearnerSpec(max_leaves=2, min_samples_leaf=1)
+        tree = _fit_tree(data, residuals, spec, _Workspace(data))
+        assert tree.threshold[0] == lo
+        assert np.array_equal(tree.predict(data), residuals)
 
     def test_no_split_on_constant_residuals(self):
         rng = np.random.default_rng(1)

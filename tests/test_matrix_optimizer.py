@@ -51,6 +51,9 @@ class TestAccumulate:
             mo.accumulate(np.zeros((3, 2)), np.array([0, 1]), 3)
         with pytest.raises(IndexOutOfRange):
             mo.accumulate(np.zeros((2, 2)), np.array([0, 5]), 3)
+        for num_classes in (0, 2.5, "4"):
+            with pytest.raises(InvalidArg, match="^num_classes must be an integer >= 1"):
+                mo.accumulate(np.zeros((2, 2)), np.array([0, 0]), num_classes)
 
 
 class TestUpdateMatrix:
@@ -104,8 +107,9 @@ class TestUpdateMatrix:
     def test_errors(self):
         m = codebook.init_random(4, 4, seed=1)
         good = mo.ClassGradientStats(np.zeros((4, 4)), np.zeros(4, dtype=np.int64))
-        with pytest.raises(InvalidArg):
-            mo.update_matrix(m, good, 0.0)
+        for lr in (0.0, -5e-324, float("nan"), float("inf"), "0.1", None):
+            with pytest.raises(InvalidArg, match="^lr must be a finite number > 0"):
+                mo.update_matrix(m, good, lr)
         with pytest.raises(DimensionMismatch):
             mo.update_matrix(m, mo.ClassGradientStats(np.zeros((4, 2)), good.counts), 0.2)
         bad = mo.ClassGradientStats(np.full((4, 4), np.inf), np.ones(4, dtype=np.int64))

@@ -85,10 +85,20 @@ class TestDecode:
 
     def test_errors(self):
         params = sd.DecoderParams(np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(DimensionMismatch):
-            sd.decode(params, np.zeros(4))
+        for outputs in (np.zeros(4), np.zeros((1, 2)), 0.0):
+            with pytest.raises(DimensionMismatch):
+                sd.decode(params, outputs)
         with pytest.raises(NonFiniteInput):
             sd.decode(params, np.array([1.0, np.nan]))
+        with pytest.raises(DimensionMismatch):
+            sd.loss_gradients(params, np.zeros(3), 0)
+        with pytest.raises(DimensionMismatch):
+            sd.DecoderParams(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(NonFiniteInput):
+            sd.DecoderParams(np.full((3, 2), np.nan), np.zeros(3))
+        big = sd.DecoderParams(np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            sd.batch_scores(big, np.full((1, 2), 1e308))
 
 
 class TestLoss:
@@ -110,8 +120,13 @@ class TestLoss:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_label_bounds(self):
-        with pytest.raises(IndexOutOfRange):
-            sd.loss(np.array([0.5, 0.5]), 2)
+        params = sd.DecoderParams(np.zeros((3, 2)), np.zeros(3))
+        for label in (2, -1, 1.5, "0"):
+            with pytest.raises(IndexOutOfRange, match="^label must be an integer >= 0 and < 2"):
+                sd.loss(np.array([0.5, 0.5]), label)
+        for label in (3, -1, 1.5, "0"):
+            with pytest.raises(IndexOutOfRange, match="^label must be an integer >= 0 and < 3"):
+                sd.loss_gradients(params, np.zeros(2), label)
 
 
 class TestLossGradients:
@@ -227,6 +242,11 @@ class TestTrainDecoding:
         ):
             with pytest.raises(InvalidArg, match=f"^{name} must be"):
                 sd.train_decoding(params, outputs, labels, **{"lr": 0.1, name: value})
+        with pytest.raises(InvalidArg, match="at least one instance"):
+            sd.train_decoding(params, np.zeros((0, 4)), np.zeros(0, dtype=int), 0.1)
+        outputs[3, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            sd.train_decoding(params, outputs, labels, 0.1)
 
     def test_l2_shrinks_weight_norm_at_optimum_scale(self):
         params, outputs, labels = self._random_problem(7)

@@ -58,6 +58,9 @@ class TestConfig:
             TrainConfig(code_length=-3).validate()
         with pytest.raises(ConfigInvalid):
             TrainConfig(learner=LearnerSpec(max_leaves=0)).validate()
+        for learner in (None, "trees"):
+            with pytest.raises(ConfigInvalid, match="^learner must be a LearnerSpec"):
+                TrainConfig(learner=learner).validate()
         # NaN fails every ordered comparison, so `gamma1 <= 0` lets it through
         for name, value in (("gamma1", np.nan), ("gamma2", np.nan), ("l2", np.inf),
                             ("gamma1", np.inf), ("l2", np.nan)):
@@ -82,6 +85,8 @@ class TestConfig:
             trainer.fit(train, test, cfg)
 
     @pytest.mark.parametrize("name, value, rule", [
+        ("code_length", 0, "an integer >= 1"),
+        ("code_length", "x", "an integer >= 1"),
         ("max_rounds", 0, "an integer >= 1"),
         ("start_round", 0, "an integer >= 1"),
         ("decoder_batch", 0, "an integer >= 1"),
