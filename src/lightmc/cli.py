@@ -221,6 +221,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base_config = _train_config(opts)
     pairs = [_parse_pair(text) for text in (args.pair or [])]
     train, valid = _load_train_valid(args, opts, base_config.seed)
+    for a, b in pairs:  # before --out is made, so a bad pair leaves nothing behind
+        codebook.check_class_pair(train.num_classes, a, b)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_mode = MODE_LIGHTMC if MODE_LIGHTMC in args.modes else args.modes[0]

@@ -178,16 +178,19 @@ def hamming_decode(matrix: CodingMatrix, outputs: np.ndarray) -> int:
     return int(np.argmin(distances))
 
 
+def check_class_pair(num_classes: int, class_a: int, class_b: int) -> None:
+    """Raise IndexOutOfRange unless both are class indices below num_classes."""
+    rule = (int, ">= 0", f"< {num_classes}")
+    check_settings(IndexOutOfRange, (("class_a", class_a, *rule), ("class_b", class_b, *rule)))
+
+
 def codeword_distance(matrix: CodingMatrix, class_a: int, class_b: int) -> float:
     """Squared Euclidean distance between two codewords.
 
     On binary rows this equals 4x the Hamming distance, so distance reports
     stay comparable before and after the matrix becomes real-valued.
     """
-    rule = (int, ">= 0", f"< {matrix.num_classes}")
-    check_settings(IndexOutOfRange, (
-        ("class_a", class_a, *rule), ("class_b", class_b, *rule),
-    ))
+    check_class_pair(matrix.num_classes, class_a, class_b)
     diff = matrix.entries[class_a] - matrix.entries[class_b]
     return float(np.dot(diff, diff))
 

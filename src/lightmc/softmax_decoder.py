@@ -30,7 +30,7 @@ from .errors import (
 
 _HEADER = "lightmc-decoder"
 
-# Probability clamp applied before logs and reciprocals.
+# Model probabilities are clamped to [_EPS, 1 - _EPS] before logs and reciprocals.
 _EPS = 1e-12
 
 
@@ -82,11 +82,10 @@ def init_from_matrix(matrix: CodingMatrix) -> DecoderParams:
 
 
 def _softmax_rows(t: np.ndarray) -> np.ndarray:
-    shifted = t - t.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    """Row softmax; the one place model probabilities are clamped."""
+    e = np.exp(t - t.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    # keep every probability strictly inside (0, 1) even when exp underflows
-    return np.clip(p, 1e-300, np.nextafter(1.0, 0.0))
+    return np.clip(p, _EPS, 1.0 - _EPS, out=p)
 
 
 def _outputs(params: DecoderParams, outputs, ndim: int = 2) -> np.ndarray:
@@ -129,13 +128,20 @@ def decode(params: DecoderParams, outputs: np.ndarray) -> DecodeResult:
     return DecodeResult(scores=t, probabilities=p, predicted=int(np.argmax(p)))
 
 
-def loss(probabilities: np.ndarray, label: int) -> float:
-    """Summed binary cross-entropy over all K outputs for one instance."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    check_settings(IndexOutOfRange, (("label", label, int, ">= 0", f"< {p.shape[0]}"),))
-    p = np.clip(p, _EPS, 1.0 - _EPS)
+def _row_losses(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Instance loss per row of clamped probabilities (N x K)."""
+    rows = np.arange(p.shape[0])
     log_others = np.log1p(-p)
-    return float(-(np.log(p[label]) - log_others[label] + log_others.sum()))
+    return -(np.log(p[rows, labels]) - log_others[rows, labels] + log_others.sum(axis=1))
+
+
+def loss(probabilities: np.ndarray, label: int) -> float:
+    """Summed binary cross-entropy over the K probabilities, clamped, of one instance."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    if p.ndim != 1:
+        raise DimensionMismatch(f"expected 1-D probabilities, got {p.shape}")
+    check_settings(IndexOutOfRange, (("label", label, int, ">= 0", f"< {p.shape[0]}"),))
+    return float(_row_losses(np.clip(p, _EPS, 1.0 - _EPS)[None, :], [label])[0])
 
 
 def _batch_score_gradients(
@@ -148,12 +154,11 @@ def _batch_score_gradients(
     dJ/dt_m = p_m * (d_m - sum_k d_k p_k).
     """
     p = batch_probabilities(params, outputs)
-    n = p.shape[0]
-    pc = np.clip(p, _EPS, 1.0 - _EPS)
-    d = 1.0 / (1.0 - pc)
-    d[np.arange(n), labels] = -1.0 / pc[np.arange(n), labels]
-    zeta = (d * pc).sum(axis=1, keepdims=True)
-    return pc * (d - zeta)
+    rows = np.arange(p.shape[0])
+    d = 1.0 / (1.0 - p)
+    d[rows, labels] = -1.0 / p[rows, labels]
+    zeta = (d * p).sum(axis=1, keepdims=True)
+    return p * (d - zeta)
 
 
 def loss_gradients(
@@ -180,24 +185,16 @@ def output_gradients(
     Vectorized form of the third component of loss_gradients; this is the
     G matrix consumed by the coding-matrix update.
     """
-    labels = check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
-    dt = _batch_score_gradients(params, outputs, labels)
-    return 0.5 * (dt @ params.weights)
+    o = _outputs(params, outputs)
+    labels = check_labels(labels, params.num_classes, o.shape[0])
+    return 0.5 * (_batch_score_gradients(params, o, labels) @ params.weights)
 
 
 def mean_loss(params: DecoderParams, outputs: np.ndarray, labels: np.ndarray) -> float:
     """Mean instance loss over a batch of output rows."""
-    labels = check_labels(labels, params.num_classes, np.asarray(outputs).shape[0])
-    p = np.clip(batch_probabilities(params, outputs), _EPS, 1.0 - _EPS)
-    n = p.shape[0]
-    log_others = np.log1p(-p)
-    picked = np.arange(n)
-    per_row = -(
-        np.log(p[picked, labels])
-        - log_others[picked, labels]
-        + log_others.sum(axis=1)
-    )
-    return float(per_row.mean())
+    o = _outputs(params, outputs)
+    labels = check_labels(labels, params.num_classes, o.shape[0])
+    return float(_row_losses(batch_probabilities(params, o), labels).mean())
 
 
 def train_decoding(

@@ -177,9 +177,10 @@ def fit(
 ) -> TrainedModel:
     """Run the full training loop and return the best-validation snapshot.
 
-    Mode "ova" trains K learners on the +1/-1 one-vs-rest matrix, never
-    updates the matrix or the decoder, and predicts by the argmax of the
-    raw outputs.
+    Mode "ova" trains K learners on the +1/-1 one-vs-rest matrix and never
+    updates the matrix or the decoder. Its decoder has weights 2I and
+    biases 0, so its scores are the raw outputs bit for bit and it predicts
+    the class of the largest output, a tie going to the lowest class.
 
     `round_hook`, when given, is called once per round with a dict holding
     round, elapsed, train_loss, valid_error, updated (whether decoder and
@@ -196,11 +197,12 @@ def fit(
     k = data.num_classes
     if config.mode == MODE_OVA:
         matrix = CodingMatrix(2.0 * np.eye(k) - 1.0)
+        decoder = DecoderParams(2.0 * np.eye(k), np.zeros(k))
     else:
         matrix = codebook.init_random(k, resolve_code_length(config, k), config.seed)
+        decoder = softmax_decoder.init_from_matrix(matrix)
 
     labels = data.labels
-    decoder = softmax_decoder.init_from_matrix(matrix)
     ensemble = learners.new_ensemble(
         matrix.code_length, config.learner, data.num_features, config.seed
     )
@@ -237,7 +239,7 @@ def fit(
             matrix = matrix_optimizer.update_matrix(matrix, stats, config.gamma2)
 
         train_loss = softmax_decoder.mean_loss(decoder, o_train, labels)
-        decoded = _decode(config.mode, decoder, o_valid)
+        decoded = softmax_decoder.batch_predict(decoder, o_valid)
         valid_error = float(np.mean(decoded != validation.labels))
         elapsed = time.perf_counter() - t_start
         if elapsed <= prev_elapsed:  # keep wall times strictly increasing
@@ -287,17 +289,10 @@ def fit(
     )
 
 
-def _decode(mode, decoder, outputs) -> np.ndarray:
-    """Class per output row: argmax of the raw outputs for OVA, else the decoder."""
-    if mode == MODE_OVA:
-        return np.argmax(outputs, axis=1)
-    return softmax_decoder.batch_predict(decoder, outputs)
-
-
 def predict(model: TrainedModel, data: SparseDataset) -> np.ndarray:
     """Predicted dense class index per instance."""
     outputs = learners.predict_all(model.ensemble, data)
-    return _decode(model.mode, model.decoder, outputs)
+    return softmax_decoder.batch_predict(model.decoder, outputs)
 
 
 # ---------------------------------------------------------------------------

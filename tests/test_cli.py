@@ -570,6 +570,15 @@ class TestCompare:
         assert fixed.matrix.entries.shape == light.matrix.entries.shape
         assert not np.array_equal(fixed.matrix.entries, light.matrix.entries)
 
+    def test_bad_pair_class_exits_one_before_out_is_made(self, blob_file, tmp_path, capsys):
+        train_path, _ = blob_file
+        out = tmp_path / "c5"
+        code = run(["compare", "--data", str(train_path), "--out", str(out),
+                    "--modes", "lightmc", "--pair", "0,99"] + FAST)
+        assert code == 1
+        assert "class_b" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_empty_modes_exit_two(self, blob_file, tmp_path, capsys):
         train_path, _ = blob_file
         code = run(["compare", "--data", str(train_path),

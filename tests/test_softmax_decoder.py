@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import numeric_gradients
+from hypothesis import given, settings, strategies as st
 
 from lightmc import codebook, softmax_decoder as sd
 from lightmc.errors import (
@@ -74,14 +75,22 @@ class TestDecode:
 
     def test_probabilities_form_distribution(self):
         rng = np.random.default_rng(8)
+        cases = []
         for scale in (1.0, 50.0, 700.0):  # |t| up to ~1e3
             w = rng.normal(size=(6, 4)) * scale
-            params = sd.DecoderParams(w, rng.normal(size=6) * scale)
-            result = sd.decode(params, rng.normal(size=4))
+            cases.append((sd.DecoderParams(w, rng.normal(size=6) * scale),
+                          rng.normal(size=4)))
+        # saturated: t = (1e3, -1e3, 0, 0, 0, 0), every exp but the top underflows
+        saturated = np.zeros((6, 4))
+        saturated[0, 0], saturated[1, 0] = 2e3, -2e3
+        cases.append((sd.DecoderParams(saturated, np.zeros(6)), np.array([1.0, 0, 0, 0])))
+        for params, outputs in cases:
+            result = sd.decode(params, outputs)
             assert abs(result.probabilities.sum() - 1.0) < 1e-9
-            assert np.all(result.probabilities > 0.0)
-            assert np.all(result.probabilities < 1.0)
+            assert np.all(result.probabilities >= 1e-12)
+            assert np.all(result.probabilities <= 1.0 - 1e-12)
             assert result.predicted == int(np.argmax(result.probabilities))
+        assert result.scores[0] == 1e3 and result.predicted == 0
 
     def test_errors(self):
         params = sd.DecoderParams(np.zeros((3, 2)), np.zeros(3))
@@ -92,6 +101,11 @@ class TestDecode:
             sd.decode(params, np.array([1.0, np.nan]))
         with pytest.raises(DimensionMismatch):
             sd.loss_gradients(params, np.zeros(3), 0)
+        for call in (sd.mean_loss, sd.output_gradients):  # a scalar block
+            with pytest.raises(DimensionMismatch):
+                call(params, 5.0, [0])
+        with pytest.raises(DimensionMismatch):
+            sd.loss(0.5, 0)
         with pytest.raises(DimensionMismatch):
             sd.DecoderParams(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(NonFiniteInput):
@@ -99,6 +113,24 @@ class TestDecode:
         big = sd.DecoderParams(np.ones((3, 2)), np.zeros(3))
         with pytest.raises(NonFiniteInput, match="overflowed"):
             sd.batch_scores(big, np.full((1, 2), 1e308))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 12), n=st.integers(1, 30), data=st.data())
+def test_doubled_identity_decoder_predicts_argmax(k, n, data):
+    # weights 2I and biases 0 score t = o bit for bit, so exact top ties go
+    # to the lowest class and a top one ulp ahead still wins, as in argmax
+    value = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    outputs = np.array(data.draw(st.lists(
+        st.lists(value, min_size=k, max_size=k), min_size=n, max_size=n)))
+    for row in outputs:
+        top = row.max()
+        tied = data.draw(st.lists(st.integers(0, k - 1), max_size=3))
+        row[tied] = top
+        if data.draw(st.booleans()):
+            row[data.draw(st.integers(0, k - 1))] = np.nextafter(top, -np.inf)
+    params = sd.DecoderParams(2.0 * np.eye(k), np.zeros(k))
+    assert np.array_equal(sd.batch_predict(params, outputs), np.argmax(outputs, axis=1))
 
 
 class TestLoss:

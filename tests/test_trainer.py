@@ -280,10 +280,22 @@ class TestFitOva:
         cfg = quick_config(mode="ova", max_rounds=6)
         model = trainer.fit(train, test, cfg)
         outputs = learners.predict_all(model.ensemble, test)
-        via_argmax = np.argmax(outputs, axis=1)
-        via_decoder = sd.batch_predict(model.decoder, outputs)
-        assert np.array_equal(via_argmax, via_decoder)
-        assert np.array_equal(trainer.predict(model, test), via_argmax)
+        assert np.array_equal(trainer.predict(model, test), np.argmax(outputs, axis=1))
+        # exact top ties, and tops one ulp ahead, which the rounding of the
+        # (2I - 1, K) decoder's sums orders differently from argmax
+        below = lambda x: np.nextafter(x, -np.inf)  # noqa: E731
+        ties = np.array([
+            [-0.9, -0.4, -0.4, -0.4],
+            [0.7, 0.7, 0.4, 0.7],
+            [0.6, -0.6, -0.6, 0.6],
+            [-0.1, -0.0, below(0.9), 0.9],
+            [-0.4, below(0.9), 0.9, -0.5],
+            [below(1.0), -0.7, -0.4, 1.0],
+        ])
+        for block in (outputs, ties):
+            assert np.array_equal(
+                sd.batch_predict(model.decoder, block), np.argmax(block, axis=1)
+            )
 
     def test_fit_dispatches_ova_mode(self, small_blobs):
         train, test, _ = small_blobs
@@ -458,6 +470,15 @@ class TestModelBundle:
             if name != "history.csv":
                 one = (tmp_path / "1" / name).read_bytes()
                 assert one == (tmp_path / "2" / name).read_bytes(), name
+
+    def test_ova_bundle_reloads_doubled_identity_decoder(self, tmp_path, small_blobs):
+        train, test, _ = small_blobs
+        trainer.save_model(trainer.fit(train, test, quick_config(mode="ova")), tmp_path)
+        again = trainer.load_model(tmp_path)
+        assert np.array_equal(again.decoder.weights, 2.0 * np.eye(4))
+        assert np.array_equal(again.decoder.biases, np.zeros(4))
+        outputs = learners.predict_all(again.ensemble, test)
+        assert np.array_equal(trainer.predict(again, test), np.argmax(outputs, axis=1))
 
     def test_history_csv_round_trip(self, tmp_path, small_blobs):
         train, test, _ = small_blobs
