@@ -87,11 +87,6 @@ class SparseDataset:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
-    @cached_property
-    def _row_ids(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order."""
-        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-
     def _order(self) -> np.ndarray:
         """The permutation that sorts the stored entries by (feature, value)."""
         return np.lexsort((self.values, self.indices))
@@ -539,7 +534,7 @@ def _take_rows(data: SparseDataset, rows: np.ndarray) -> SparseDataset:
     """The given rows, ascending, as a new dataset."""
     keep = np.zeros(data.num_rows, dtype=bool)
     keep[rows] = True
-    entries = keep[data._row_ids]
+    entries = np.repeat(keep, np.diff(data.indptr))
     lens = data.indptr[rows + 1] - data.indptr[rows]
     return SparseDataset(
         indptr=np.concatenate(([0], np.cumsum(lens))),

@@ -8,7 +8,9 @@ per-instance SGD linear model. Columns are independent. Tree columns may
 be fitted on parallel threads, which only grow trees; the linear learner
 updates all L columns per instance in one loop. Every output buffer, the
 training one too, is then refreshed by `accumulate_round_outputs`: one
-running sum of stages.
+running sum of stages. Linear outputs are written afresh, all L columns
+in one pass over the stored entries, summed in the order a per-column
+`np.bincount` sums them, so the bits match that form's (`_add_outputs`).
 
 Trees grow on a dataset's `groups`: its stored entries binned per feature
 into at most `data_io.MAX_BINS` bins, one bin per value where a feature
@@ -557,19 +559,37 @@ def accumulate_round_outputs(
 
 
 def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
-    """Add boosting `stages` of every column to `buffer`, or write linear outputs."""
+    """Add boosting `stages` of every column to `buffer`, or write linear outputs.
+
+    Linear outputs take one pass over the stored entries for all L columns.
+    The rows are sorted by entry count, longest first and stable, so the
+    rows with more than k entries are a prefix of that order. Step k adds
+    the k-th entry of each such row to the row's running sums: the entry's
+    row of a C-contiguous (F, L) copy of the weights, scaled by its value.
+    Each output is thus 0.0 plus its row's products in storage order, plus
+    the bias, the order in which a per-column `np.bincount` over the rows'
+    entries sums, so the bits are the same as that form's.
+    """
     _check_data(ensemble, data, buffer)
     if ensemble.is_boosting:
         for j, trees in enumerate(ensemble.trees):
             for tree in trees[stages]:
                 buffer[:, j] += ensemble.spec.learning_rate * tree.predict(data)
         return
-    for j, w in enumerate(ensemble.weights):
-        contrib = w[data.indices] * data.values
-        buffer[:, j] = (
-            np.bincount(data._row_ids, weights=contrib, minlength=data.num_rows)
-            + ensemble.bias[j]
-        )
+    length = np.diff(data.indptr)
+    order = np.argsort(-length, kind="stable")
+    at = data.indptr[order]  # each sorted row's next entry
+    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
+    w = np.ascontiguousarray(ensemble.weights.T)
+    acc, block = np.zeros((2, *buffer.shape))
+    for m in longer.tolist():  # the m rows with more than k entries
+        ent = at[:m]
+        b = np.take(w, data.indices[ent], axis=0, out=block[:m], mode="clip")  # see _take
+        b *= data.values[ent, None]
+        acc[:m] += b
+        at[:m] += 1
+    acc += ensemble.bias
+    buffer[order] = acc
 
 
 def _check_data(ensemble, data, buffer) -> None:

@@ -102,7 +102,11 @@ def _outputs(params: DecoderParams, outputs, ndim: int = 2) -> np.ndarray:
 
 def batch_scores(params: DecoderParams, outputs: np.ndarray) -> np.ndarray:
     """Scores t for a batch of output rows, shape (N, K)."""
-    o = _outputs(params, outputs)
+    return _scores(params, _outputs(params, outputs))
+
+
+def _scores(params: DecoderParams, o: np.ndarray) -> np.ndarray:
+    """`batch_scores` of a block `_outputs` has already checked."""
     with np.errstate(over="raise"):
         try:
             return 0.5 * (o @ params.weights.T + params.biases)
@@ -123,7 +127,7 @@ def batch_predict(params: DecoderParams, outputs: np.ndarray) -> np.ndarray:
 
 def decode(params: DecoderParams, outputs: np.ndarray) -> DecodeResult:
     """Decode one output vector into scores, probabilities, and a class."""
-    t = batch_scores(params, _outputs(params, outputs, ndim=1)[None, :])[0]
+    t = _scores(params, _outputs(params, outputs, ndim=1)[None, :])[0]
     p = _softmax_rows(t[None, :])[0]
     return DecodeResult(scores=t, probabilities=p, predicted=int(np.argmax(p)))
 
@@ -147,13 +151,13 @@ def loss(probabilities: np.ndarray, label: int) -> float:
 def _batch_score_gradients(
     params: DecoderParams, outputs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """dJ/dt per instance (N x K).
+    """dJ/dt per instance (N x K) of a checked output block.
 
     With d_k = dJ/dp_k (which is 1/(1-p_k) off the label and -1/p_label on
     it), chaining through the softmax Jacobian gives
     dJ/dt_m = p_m * (d_m - sum_k d_k p_k).
     """
-    p = batch_probabilities(params, outputs)
+    p = _softmax_rows(_scores(params, outputs))
     rows = np.arange(p.shape[0])
     d = 1.0 / (1.0 - p)
     d[rows, labels] = -1.0 / p[rows, labels]
@@ -194,7 +198,7 @@ def mean_loss(params: DecoderParams, outputs: np.ndarray, labels: np.ndarray) ->
     """Mean instance loss over a batch of output rows."""
     o = _outputs(params, outputs)
     labels = check_labels(labels, params.num_classes, o.shape[0])
-    return float(_row_losses(batch_probabilities(params, o), labels).mean())
+    return float(_row_losses(_softmax_rows(_scores(params, o)), labels).mean())
 
 
 def train_decoding(

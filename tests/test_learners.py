@@ -2,6 +2,7 @@ import gc
 import heapq
 import resource
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1000,6 +1001,133 @@ class TestEnsemble:
             learners.train_round(ensemble, data, wrong, np.zeros((10, 3)))
         with pytest.raises(DimensionMismatch):
             learners.train_round(ensemble, data, m, np.zeros((10, 2)))
+
+
+def reference_linear_outputs(ensemble, data):
+    """Linear outputs as they were summed before the one-pass form, kept
+    verbatim as its exact oracle: one `np.bincount` per column."""
+    row_ids = np.repeat(np.arange(data.num_rows), np.diff(data.indptr))
+    buffer = np.empty((data.num_rows, ensemble.code_length))
+    for j, w in enumerate(ensemble.weights):
+        contrib = w[data.indices] * data.values
+        buffer[:, j] = (
+            np.bincount(row_ids, weights=contrib, minlength=data.num_rows)
+            + ensemble.bias[j]
+        )
+    return buffer
+
+
+def linear_ensemble(weights, bias):
+    weights = np.asarray(weights, dtype=np.float64)
+    ensemble = learners.new_ensemble(
+        weights.shape[0], LearnerSpec(kind=LINEAR_SGD), weights.shape[1]
+    )
+    ensemble.weights[:], ensemble.bias[:] = weights, bias
+    return ensemble
+
+
+def csr_dataset(rows, num_features):
+    """A dataset of `rows`, each a list of (feature, value) with ascending features."""
+    lengths = [len(row) for row in rows]
+    entries = [entry for row in rows for entry in row]
+    return data_io.SparseDataset(
+        indptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        indices=np.array([f for f, _ in entries], dtype=np.int64),
+        values=np.array([v for _, v in entries], dtype=np.float64),
+        labels=np.zeros(len(rows), dtype=np.int64),
+        num_features=num_features,
+        num_classes=1,
+        label_names=("0",),
+    )
+
+
+def assert_same_bits(ensemble, data):
+    got = learners.predict_all(ensemble, data)
+    want = reference_linear_outputs(ensemble, data)
+    assert got.tobytes() == want.tobytes()
+    buffer = np.full_like(got, np.nan)
+    learners.accumulate_round_outputs(ensemble, data, buffer)
+    assert buffer.tobytes() == want.tobytes()
+
+
+class TestLinearOutputs:
+    def test_mixed_rows_match_the_per_column_sums(self):
+        # row 0's sum depends on its order: 1e16 + 1 + 1 is 1e16 from the
+        # left and 1e16 + 2 pairwise; rows 2 and 5 store nothing
+        rows = [
+            [(0, 1e16), (1, 1.0), (2, 1.0)],
+            [(3, 0.5), (4, -3.0)],
+            [],
+            [(0, -1e16), (2, 1.0), (3, 1.0), (4, 2.0), (5, 1e-300)],
+            [(1, 2.0), (5, -7.0)],
+            [],
+        ]
+        data = csr_dataset(rows, 6)
+        weights = [[1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                   [0.3, -1e-8, 7.5, 1e300, -0.1, 2.0],
+                   [-0.0, -0.0, 0.0, -0.0, -0.0, -0.0]]
+        ensemble = linear_ensemble(weights, [0.25, -1.5, -0.0])
+        assert_same_bits(ensemble, data)
+        out = learners.predict_all(ensemble, data)
+        assert out[0, 0] == 1e16  # summed from the left, the ones and the bias vanish
+        assert np.signbit(out[:, 2]).sum() == 0  # 0.0 + (-0.0) is 0.0
+
+    def test_edge_shapes(self):
+        weights, bias = [[2.0, -1.0], [0.5, 3.0]], [1.0, -0.0]
+        for rows in (
+            [[], [], []],  # no stored entries
+            [[(0, 1.5), (1, -2.0)]],  # one row
+            [[]],  # one empty row
+            [],  # no rows
+        ):
+            assert_same_bits(linear_ensemble(weights, bias), csr_dataset(rows, 2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(0, 12), num_features=st.integers(1, 9),
+           code_length=st.integers(1, 4))
+    def test_matches_the_per_column_sums(self, data, n, num_features, code_length):
+        number = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+            st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False),
+        )
+        rows = [
+            [(f, data.draw(number)) for f in sorted(data.draw(
+                st.sets(st.integers(0, num_features - 1), max_size=num_features)))]
+            for _ in range(n)
+        ]
+        weights = data.draw(st.lists(st.lists(
+            number, min_size=num_features, max_size=num_features),
+            min_size=code_length, max_size=code_length))
+        bias = data.draw(st.lists(number, min_size=code_length, max_size=code_length))
+        assert_same_bits(linear_ensemble(weights, bias), csr_dataset(rows, num_features))
+
+    def test_trained_outputs_match_the_per_column_sums(self):
+        rng = np.random.default_rng(23)
+        data, _ = random_sparse(rng, 120, 30, zero_fraction=0.7, num_classes=4)
+        m = codebook.init_random(4, 6, seed=5)
+        ensemble = learners.new_ensemble(6, LearnerSpec(kind=LINEAR_SGD), 30, seed=3)
+        outputs = np.zeros((120, 6))
+        for _ in range(3):
+            learners.train_round(ensemble, data, m, outputs)
+            assert outputs.tobytes() == reference_linear_outputs(ensemble, data).tobytes()
+
+    def test_predict_takes_less_than_an_entry_by_column_block(self):
+        # rows of about 60 entries over 100 features: the scratch is a few
+        # (N, L) blocks and one (F, L) copy of the weights, well under the
+        # (nnz, L) array a gather of every entry for every column would take
+        rng = np.random.default_rng(29)
+        data, _ = random_sparse(rng, 300, 100, zero_fraction=0.4)
+        ensemble = learners.new_ensemble(8, LearnerSpec(kind=LINEAR_SGD), 100)
+        ensemble.weights[:] = rng.normal(size=ensemble.weights.shape)
+        entry_block = data.indices.size * ensemble.code_length * 8
+        learners.predict_all(ensemble, data)
+        tracemalloc.start()
+        try:
+            learners.predict_all(ensemble, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entry_block
 
 
 class TestSerialization:

@@ -114,6 +114,41 @@ class TestDecode:
         with pytest.raises(NonFiniteInput, match="overflowed"):
             sd.batch_scores(big, np.full((1, 2), 1e308))
 
+    def test_each_call_checks_its_outputs_once(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = sd.DecoderParams(rng.normal(size=(4, 3)), rng.normal(size=4))
+        outputs, labels = rng.normal(size=(10, 3)), rng.integers(0, 4, size=10)
+        checked = []
+        real = sd._outputs
+
+        def counting(*args, **kwargs):
+            checked.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sd, "_outputs", counting)
+        calls = (
+            lambda: sd.mean_loss(params, outputs, labels),
+            lambda: sd.output_gradients(params, outputs, labels),
+            lambda: sd.batch_predict(params, outputs),
+            lambda: sd.decode(params, outputs[0]),
+            # 4 mini-batches an epoch, 3 epochs
+            lambda: sd.train_decoding(params, outputs, labels, 0.1, batch_size=3, epochs=3),
+        )
+        for call in calls:
+            checked.clear()
+            call()
+            assert len(checked) == 1
+        # the one check still turns an overflowing score into NonFiniteInput
+        big = sd.DecoderParams(np.ones((3, 2)), np.zeros(3))
+        huge = np.full((2, 2), 1e308)
+        for call in (sd.mean_loss, sd.output_gradients):
+            with pytest.raises(NonFiniteInput, match="overflowed"):
+                call(big, huge, [0, 1])
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            sd.train_decoding(big, huge, [0, 1], 0.1)
+        with pytest.raises(NonFiniteInput, match="overflowed"):
+            sd.decode(big, huge[0])
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(2, 12), n=st.integers(1, 30), data=st.data())
