@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyFile,
+    IndexOutOfRange,
     InvalidArg,
     ParseError,
     TooFewInstances,
@@ -51,7 +52,8 @@ class SparseDataset:
     """Row-sparse feature matrix (CSR arrays) with dense integer labels.
 
     Immutable after construction; per-row feature indices are strictly
-    increasing. `label_names[k]` is the original token of dense class k,
+    increasing, and an index outside [0, num_features) raises
+    IndexOutOfRange. `label_names[k]` is the original token of dense class k,
     which the text formats hold only if it is a nonblank token not led by '#'.
     Trees read the entries through two cached views, each built on first
     use: `columns`, the entries of each feature in value order, which
@@ -75,6 +77,12 @@ class SparseDataset:
         vals = np.asarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.indices.size and not (
+            0 <= self.indices.min() and self.indices.max() < self.num_features
+        ):
+            raise IndexOutOfRange(
+                f"feature indices must lie in [0, {self.num_features})"
+            )
         for name in self.label_names:
             if fault := _label_name_fault(name):
                 raise InvalidArg(fault)

@@ -9,8 +9,9 @@ be fitted on parallel threads, which only grow trees; the linear learner
 updates all L columns per instance in one loop. Every output buffer, the
 training one too, is then refreshed by `accumulate_round_outputs`: one
 running sum of stages. Linear outputs are written afresh, all L columns
-in one pass over the stored entries, summed in the order a per-column
-`np.bincount` sums them, so the bits match that form's (`_add_outputs`).
+in one pass over the stored entries (rows much longer than the rest are
+finished one at a time), summed in the order a per-column `np.bincount`
+sums them, so the bits match that form's (`_add_outputs`).
 
 Trees grow on a dataset's `groups`: its stored entries binned per feature
 into at most `data_io.MAX_BINS` bins, one bin per value where a feature
@@ -63,6 +64,7 @@ _KINDS = (BOOSTED_TREES, LINEAR_SGD)
 
 _HEADER = "lightmc-ensemble"
 _ROOT_ROWS = 1024  # rows whose entries a root's sums take at once
+_ROW_SUM_COST = 1 / 4000  # extra cost of a product summed row by row, in steps
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,9 @@ class _Workspace:
 
 def _take(a, indices, out):
     """`a[indices]` written to `out`. mode="clip" because mode="raise", the
-    default, copies `out` first; every index here is in range."""
-    return np.take(a, indices, out=out[:indices.shape[0]], mode="clip")
+    default, copies `out` first; every index here is in range, feature
+    indices too, which `SparseDataset` checks."""
+    return np.take(a, indices, axis=0, out=out[:indices.shape[0]], mode="clip")
 
 
 def _running(a, out) -> np.ndarray:
@@ -566,9 +569,19 @@ def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
     rows with more than k entries are a prefix of that order. Step k adds
     the k-th entry of each such row to the row's running sums: the entry's
     row of a C-contiguous (F, L) copy of the weights, scaled by its value.
-    Each output is thus 0.0 plus its row's products in storage order, plus
-    the bias, the order in which a per-column `np.bincount` over the rows'
-    entries sums, so the bits are the same as that form's.
+    A step serves every row still that long, so where a few rows are much
+    longer than the rest, the last steps would serve a handful of rows
+    each. So after s steps each row longer than s is finished alone: its
+    remaining products, the first with its running sum added, summed in
+    storage order by `np.cumsum`. Steps and rows cost about the same Python
+    overhead, and `np.cumsum` along a row costs about twice a step per
+    product (4 against 2 ns, one core); s is the count that makes s, plus
+    the rows longer than s, plus `_ROW_SUM_COST` times the products they
+    still hold, least. A row holds each feature at most once, so its
+    products take no more room than the weights' copy. Each output is thus
+    0.0 plus its row's products in storage order, plus the bias, the order
+    in which a per-column `np.bincount` over the rows' entries sums, so the
+    bits are the same as that form's.
     """
     _check_data(ensemble, data, buffer)
     if ensemble.is_boosting:
@@ -579,15 +592,24 @@ def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
     length = np.diff(data.indptr)
     order = np.argsort(-length, kind="stable")
     at = data.indptr[order]  # each sorted row's next entry
-    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
+    # longer[k]: how many rows have more than k entries, a prefix of order
+    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0) + 1))
+    left = data.indices.size - (np.cumsum(longer) - longer)  # entries after k steps
+    cost = np.arange(longer.size) + longer + left * (buffer.shape[1] * _ROW_SUM_COST)
+    steps = int(np.argmin(cost))
     w = np.ascontiguousarray(ensemble.weights.T)
     acc, block = np.zeros((2, *buffer.shape))
-    for m in longer.tolist():  # the m rows with more than k entries
+    for m in longer[:steps].tolist():
         ent = at[:m]
-        b = np.take(w, data.indices[ent], axis=0, out=block[:m], mode="clip")  # see _take
+        b = _take(w, data.indices[ent], block)
         b *= data.values[ent, None]
         acc[:m] += b
         at[:m] += 1
+    for i, end in enumerate(data.indptr[order[:longer[steps]] + 1].tolist()):
+        b = w[data.indices[at[i]:end]]
+        b *= data.values[at[i]:end, None]
+        np.add(acc[i], b[0], out=b[0])
+        acc[i] = np.cumsum(b, axis=0, out=b)[-1]
     acc += ensemble.bias
     buffer[order] = acc
 

@@ -1001,6 +1001,9 @@ class TestEnsemble:
             learners.train_round(ensemble, data, wrong, np.zeros((10, 3)))
         with pytest.raises(DimensionMismatch):
             learners.train_round(ensemble, data, m, np.zeros((10, 2)))
+        for feature in (4, -1):  # a hand-built dataset is checked as it is made
+            with pytest.raises(IndexOutOfRange, match=r"^feature indices must lie in \[0, 4\)"):
+                csr_dataset([[(0, 1.0)], [(feature, 2.0)]], 4)
 
 
 def reference_linear_outputs(ensemble, data):
@@ -1082,6 +1085,22 @@ class TestLinearOutputs:
         ):
             assert_same_bits(linear_ensemble(weights, bias), csr_dataset(rows, 2))
 
+    def test_a_few_long_rows_match_the_per_column_sums(self):
+        # two rows far longer than the rest are finished row by row; from
+        # the left, 1e16 + 1 + 1 ... stays
+        # 1e16, while a pairwise sum of the ones would reach 1e16 + 6000
+        rng = np.random.default_rng(31)
+        long_row = [(f, 1e16 if f == 0 else 1.0) for f in range(6001)]
+        rows = [long_row, [(f, float(f)) for f in range(0, 9000, 3)]]
+        rows += [[(int(f), rng.normal()) for f in np.sort(rng.choice(9000, 4, replace=False))]
+                 for _ in range(50)] + [[]]
+        data = csr_dataset(rows, 9000)
+        weights = np.ones((3, 9000))
+        weights[1:] = rng.normal(size=(2, 9000))
+        ensemble = linear_ensemble(weights, [0.5, -0.0, 2.0])
+        assert_same_bits(ensemble, data)
+        assert learners.predict_all(ensemble, data)[0, 0] == 1e16
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(0, 12), num_features=st.integers(1, 9),
            code_length=st.integers(1, 4))
@@ -1114,20 +1133,25 @@ class TestLinearOutputs:
     def test_predict_takes_less_than_an_entry_by_column_block(self):
         # rows of about 60 entries over 100 features: the scratch is a few
         # (N, L) blocks and one (F, L) copy of the weights, well under the
-        # (nnz, L) array a gather of every entry for every column would take
+        # (nnz, L) array a gather of every entry for every column would take;
+        # six rows of 10000 entries are each finished in one (10000, L) block
         rng = np.random.default_rng(29)
-        data, _ = random_sparse(rng, 300, 100, zero_fraction=0.4)
-        ensemble = learners.new_ensemble(8, LearnerSpec(kind=LINEAR_SGD), 100)
-        ensemble.weights[:] = rng.normal(size=ensemble.weights.shape)
-        entry_block = data.indices.size * ensemble.code_length * 8
-        learners.predict_all(ensemble, data)
-        tracemalloc.start()
-        try:
+        uniform, _ = random_sparse(rng, 300, 100, zero_fraction=0.4)
+        long_rows = csr_dataset([[(f, 1.0) for f in range(10000)]] * 6, 10000)
+        for data in (uniform, long_rows):
+            ensemble = learners.new_ensemble(
+                8, LearnerSpec(kind=LINEAR_SGD), data.num_features
+            )
+            ensemble.weights[:] = rng.normal(size=ensemble.weights.shape)
+            entry_block = data.indices.size * ensemble.code_length * 8
             learners.predict_all(ensemble, data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < entry_block
+            tracemalloc.start()
+            try:
+                learners.predict_all(ensemble, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < entry_block
 
 
 class TestSerialization:
