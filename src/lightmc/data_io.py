@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -432,19 +434,23 @@ def load_label_map(path) -> tuple[str, ...]:
 
 
 def read_lines(path, encoding: str = "ascii") -> list[str]:
-    """All lines of a small text file; undecodable bytes raise ParseError."""
+    """All lines of a text file, split as `str.splitlines` splits its text, but
+    read a line at a time, so the text is never one string; undecodable bytes
+    raise ParseError."""
     try:
         with open(path, "r", encoding=encoding) as fh:
-            return fh.read().splitlines()
+            return list(chain.from_iterable(map(str.splitlines, fh)))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not {encoding} text ({exc.reason})") from None
 
 
-def write_versioned(path, name: str, head: tuple, body: list[str]) -> None:
-    """Write the versioned text form `<name> v1 <a> <b>`, then the body lines."""
-    lines = [f"{name} v1 {head[0]} {head[1]}", *body]
+def write_versioned(path, name: str, head: tuple, body: Iterable[str]) -> None:
+    """Write the versioned text form `<name> v1 <a> <b>`, then the body lines,
+    each as it comes."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{name} v1 {head[0]} {head[1]}\n")
+        for line in body:
+            fh.write(line + "\n")
 
 
 def read_versioned(path, name, second=int) -> tuple[int, object, list[str]]:

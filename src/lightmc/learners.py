@@ -6,12 +6,13 @@ M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
 predictions are the shrinkage-scaled sum of tree outputs) and a
 per-instance SGD linear model. Columns are independent. Tree columns may
 be fitted on parallel threads, which only grow trees; the linear learner
-updates all L columns per instance in one loop. Every output buffer, the
-training one too, is then refreshed by `accumulate_round_outputs`: one
-running sum of stages. Linear outputs are written afresh, all L columns
-in one pass over the stored entries (rows much longer than the rest are
-finished one at a time), summed in the order a per-column `np.bincount`
-sums them, so the bits match that form's (`_add_outputs`).
+updates all L columns per instance in one loop, on the rows of its (F, L)
+weights. Every output buffer, the training one too, is then refreshed by
+`accumulate_round_outputs`: one running sum of stages. Linear outputs are
+written afresh, all L columns in one pass over the stored entries (rows
+much longer than the rest are finished one at a time), summed in the
+order a per-column `np.bincount` sums them, so the bits match that form's
+(`_add_outputs`).
 
 Trees grow on a dataset's `groups`: its stored entries binned per feature
 into at most `data_io.MAX_BINS` bins, one bin per value where a feature
@@ -412,8 +413,8 @@ class BaseLearnerEnsemble:
     """L independent column learners, all of one kind.
 
     Trees: `trees[j]` is column j's list of boosting stages. Linear:
-    column j predicts `values @ weights[j] + bias[j]`, with `weights` one
-    (L, F) array and `bias` one (L,) array.
+    column j predicts `values @ weights[:, j] + bias[j]`, with `weights` one
+    C-contiguous (F, L) array (a row per feature) and `bias` one (L,) array.
     """
 
     spec: LearnerSpec
@@ -445,7 +446,7 @@ def new_ensemble(
     if ensemble.is_boosting:
         ensemble.trees = [[] for _ in range(code_length)]
     else:
-        ensemble.weights = np.zeros((code_length, num_features))
+        ensemble.weights = np.zeros((num_features, code_length))
         ensemble.bias = np.zeros(code_length)
     return ensemble
 
@@ -516,10 +517,10 @@ def train_round(
 def _fit_linear(ensemble, data, targets) -> None:
     """One round of per-instance SGD on the squared loss, all columns at once.
 
-    The epoch orders come from (seed, rounds_done). Each column's gradient
-    is one dot product over a C-contiguous copy of its weights at the row's
-    features, the same arithmetic a single column's `w[js] @ vs` does; the
-    step is taken on that copy, which is then written back.
+    The epoch orders come from (seed, rounds_done). The weight rows of the
+    instance's features are copied to a C-contiguous (L, n) block, so each
+    column's gradient is the same dot product as one column's `w[js] @ vs`;
+    the step is taken on that block, which is then written back.
     """
     rng = np.random.default_rng([ensemble.seed, 7919, ensemble.rounds_done])
     lr = ensemble.spec.learning_rate
@@ -531,13 +532,15 @@ def _fit_linear(ensemble, data, targets) -> None:
             for i in rng.permutation(data.num_rows).tolist():
                 lo, hi = indptr[i], indptr[i + 1]
                 js, vs = indices[lo:hi], values[lo:hi]
-                wj = np.ascontiguousarray(w[:, js])
+                wj = w[js].T.copy()
                 step = lr * (np.vecdot(wj, vs) + b - targets[i])
                 wj -= step[:, None] * vs
-                w[:, js] = wj
+                w[js] = wj.T
                 b -= step
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(w))):
-        raise NonFiniteGradient("linear learner diverged; lower the learning rate")
+        raise NonFiniteGradient(
+            "linear learner diverged; lower its learning_rate (--alpha)"
+        )
 
 
 def predict_all(ensemble: BaseLearnerEnsemble, data: SparseDataset) -> np.ndarray:
@@ -568,7 +571,7 @@ def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
     The rows are sorted by entry count, longest first and stable, so the
     rows with more than k entries are a prefix of that order. Step k adds
     the k-th entry of each such row to the row's running sums: the entry's
-    row of a C-contiguous (F, L) copy of the weights, scaled by its value.
+    feature's row of the (F, L) weights, scaled by its value.
     A step serves every row still that long, so where a few rows are much
     longer than the rest, the last steps would serve a handful of rows
     each. So after s steps each row longer than s is finished alone: its
@@ -578,7 +581,7 @@ def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
     product (4 against 2 ns, one core); s is the count that makes s, plus
     the rows longer than s, plus `_ROW_SUM_COST` times the products they
     still hold, least. A row holds each feature at most once, so its
-    products take no more room than the weights' copy. Each output is thus
+    products take no more room than the weights. Each output is thus
     0.0 plus its row's products in storage order, plus the bias, the order
     in which a per-column `np.bincount` over the rows' entries sums, so the
     bits are the same as that form's.
@@ -597,16 +600,15 @@ def _add_outputs(ensemble, data, buffer, stages: slice) -> None:
     left = data.indices.size - (np.cumsum(longer) - longer)  # entries after k steps
     cost = np.arange(longer.size) + longer + left * (buffer.shape[1] * _ROW_SUM_COST)
     steps = int(np.argmin(cost))
-    w = np.ascontiguousarray(ensemble.weights.T)
     acc, block = np.zeros((2, *buffer.shape))
     for m in longer[:steps].tolist():
         ent = at[:m]
-        b = _take(w, data.indices[ent], block)
+        b = _take(ensemble.weights, data.indices[ent], block)
         b *= data.values[ent, None]
         acc[:m] += b
         at[:m] += 1
     for i, end in enumerate(data.indptr[order[:longer[steps]] + 1].tolist()):
-        b = w[data.indices[at[i]:end]]
+        b = ensemble.weights[data.indices[at[i]:end]]
         b *= data.values[at[i]:end, None]
         np.add(acc[i], b[0], out=b[0])
         acc[i] = np.cumsum(b, axis=0, out=b)[-1]
@@ -632,23 +634,27 @@ def _check_data(ensemble, data, buffer) -> None:
 
 
 def save_ensemble(ensemble: BaseLearnerEnsemble, path) -> None:
-    """Versioned text dump; trees are listed in pre-order."""
-    spec = ensemble.spec
-    lines = [f"alpha {spec.learning_rate!r}", f"features {ensemble.num_features}"]
-    for j in range(ensemble.code_length):
-        if ensemble.is_boosting:
-            lines.append(f"member {j} {len(ensemble.trees[j])}")
-            for t, tree in enumerate(ensemble.trees[j]):
-                _dump_tree(tree, t, lines)
-        else:
-            lines.append(f"member {j}")
-            weights = format_floats(ensemble.weights[j])
-            lines.append(f"weights {ensemble.num_features} {weights}".rstrip())
-            lines.append(f"bias {format_floats(ensemble.bias[j:j + 1])}")
-    write_versioned(path, _HEADER, (ensemble.code_length, spec.kind), lines)
+    """Versioned text dump; trees are listed in pre-order. Lines are written
+    as they are made, so the file's text is never one string."""
+
+    def lines():
+        yield f"alpha {ensemble.spec.learning_rate!r}"
+        yield f"features {ensemble.num_features}"
+        for j in range(ensemble.code_length):
+            if ensemble.is_boosting:
+                yield f"member {j} {len(ensemble.trees[j])}"
+                for t, tree in enumerate(ensemble.trees[j]):
+                    yield from _dump_tree(tree, t)
+            else:
+                yield f"member {j}"
+                weights = format_floats(ensemble.weights[:, j])
+                yield f"weights {ensemble.num_features} {weights}".rstrip()
+                yield f"bias {format_floats(ensemble.bias[j:j + 1])}"
+
+    write_versioned(path, _HEADER, (ensemble.code_length, ensemble.spec.kind), lines())
 
 
-def _dump_tree(tree: _Tree, index: int, lines: list[str]) -> None:
+def _dump_tree(tree: _Tree, index: int):
     feature, threshold, left, right, value = (
         getattr(tree, name).tolist() for name in _Tree.__slots__
     )
@@ -661,9 +667,9 @@ def _dump_tree(tree: _Tree, index: int, lines: list[str]) -> None:
             stack.append(right[nid])
             stack.append(left[nid])
     remap = {old: new for new, old in enumerate(order)} | {-1: -1}  # -1: no child
-    lines.append(f"tree {index} {len(order)}")
+    yield f"tree {index} {len(order)}"
     for old in order:
-        lines.append(
+        yield (
             f"{remap[old]} {feature[old]} {threshold[old]!r} "
             f"{remap[left[old]]} {remap[right[old]]} {value[old]!r}"
         )
@@ -707,8 +713,8 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
     if boosting:
         return BaseLearnerEnsemble(spec, num_features, 0, trees=members)
     del body  # so the text and two copies of the weights are never held at once
-    w, b = map(np.array, zip(*members))
-    return BaseLearnerEnsemble(spec, num_features, 0, [], w, b)
+    w, b = zip(*members)
+    return BaseLearnerEnsemble(spec, num_features, 0, [], np.stack(w, axis=1), np.array(b))
 
 
 def _fields(body, pos, path, spec: tuple) -> list:

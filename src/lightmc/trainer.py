@@ -31,7 +31,7 @@ from .data_io import (
 )
 from .errors import (
     ConfigInvalid, DimensionMismatch, EmptyDataset, InvalidArg, MissingClass,
-    ParseError, check_settings,
+    NonFiniteInput, ParseError, check_settings,
 )
 from .learners import BaseLearnerEnsemble, LearnerSpec
 from .softmax_decoder import DecoderParams
@@ -223,22 +223,29 @@ def fit(
         learners.accumulate_round_outputs(ensemble, validation, o_valid)
 
         updated = config.mode == MODE_LIGHTMC and i in cadence
-        if updated:
-            decoder = softmax_decoder.train_decoding(
-                decoder,
-                o_train,
-                labels,
-                config.gamma1,
-                batch_size=config.decoder_batch,
-                epochs=config.decoder_epochs_per_call,
-                l2=config.l2,
-                seed=_decoder_seed(config.seed, i),
-            )
-            grads = softmax_decoder.output_gradients(decoder, o_train, labels)
-            stats = matrix_optimizer.accumulate(grads, labels, k)
-            matrix = matrix_optimizer.update_matrix(matrix, stats, config.gamma2)
-
-        train_loss = softmax_decoder.mean_loss(decoder, o_train, labels)
+        try:
+            if updated:
+                decoder = softmax_decoder.train_decoding(
+                    decoder,
+                    o_train,
+                    labels,
+                    config.gamma1,
+                    batch_size=config.decoder_batch,
+                    epochs=config.decoder_epochs_per_call,
+                    l2=config.l2,
+                    seed=_decoder_seed(config.seed, i),
+                )
+                grads = softmax_decoder.output_gradients(decoder, o_train, labels)
+                stats = matrix_optimizer.accumulate(grads, labels, k)
+                matrix = matrix_optimizer.update_matrix(matrix, stats, config.gamma2)
+            train_loss = softmax_decoder.mean_loss(decoder, o_train, labels)
+        except NonFiniteInput as exc:
+            # a learner whose weights grow but stay finite is caught here, by
+            # the decoder its outputs overflow, so name the learner's setting
+            raise NonFiniteInput(
+                f"round {i}: {exc}; lower the {config.learner.kind} learner's "
+                "learning_rate (--alpha)"
+            ) from exc
         decoded = softmax_decoder.batch_predict(decoder, o_valid)
         valid_error = float(np.mean(decoded != validation.labels))
         elapsed = time.perf_counter() - t_start

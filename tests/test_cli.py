@@ -472,18 +472,29 @@ class TestBadInput:
         assert run(["evaluate", str(bundle), str(train_path)]) == 1
         assert "meta.txt" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "blobs, alpha, seed, failure",
+        [
+            # the weights turn non-finite inside the learner
+            ((4, 40, 5, 8, 2), "0.5", "1", "diverged"),
+            # they stay finite, and the outputs overflow the decoder's scores
+            ((2, 30, 10, 6, 0), "0.1", "0", "overflowed"),
+        ],
+        ids=["weights", "outputs"],
+    )
     @pytest.mark.filterwarnings("error")
-    def test_diverging_linear_learner_warns_nothing(self, tmp_path, capsys):
-        train, _, _ = synthetic.make_paired_blobs(
-            num_pairs=4, train_per_class=40, test_per_class=5, num_features=8, seed=2
-        )
-        path = tmp_path / "blobs8.txt"
+    def test_diverging_linear_learner_warns_nothing(
+        self, blobs, alpha, seed, failure, tmp_path, capsys
+    ):
+        train, _, _ = synthetic.make_paired_blobs(*blobs)
+        path = tmp_path / "blobs.txt"
         data_io.save_sparse_text(train, path)
         code = run(["train", "--data", str(path), "--out", str(tmp_path / "m"),
-                    "--learner", "linear", "--alpha", "0.5", "--rounds", "3",
-                    "--seed", "1", "--threads", "1"])
+                    "--learner", "linear", "--alpha", alpha, "--rounds", "3",
+                    "--seed", seed, "--threads", "1"])
         assert code == 1
-        assert "diverged" in assert_one_error_line(capsys)
+        message = assert_one_error_line(capsys)
+        assert failure in message and "learning_rate (--alpha)" in message
 
     def test_huge_feature_index_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"

@@ -310,6 +310,19 @@ def test_text_round_trip_is_bitwise(data, zero_based):
     assert [again.label_names[k] for k in again.labels] == names
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.text("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028", max_size=40),
+       pad=st.sampled_from([0, 8191, 8192]))
+def test_read_lines_splits_as_the_whole_text_does(text, pad):
+    # the line-at-a-time reader against the whole-text form it replaced; a
+    # pad puts the first separator at the file reader's 8192-byte chunk edge
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_text("x" * pad + text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            assert data_io.read_lines(path, "utf-8") == fh.read().splitlines()
+
+
 class TestStratifiedSplit:
     def _uniform(self, per_class=100, num_classes=4, seed=0):
         rng = np.random.default_rng(seed)

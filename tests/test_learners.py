@@ -883,7 +883,7 @@ class TestEnsemble:
                         w[js] -= lr * g * vs
                         b -= lr * g
                 bias[j] = b
-        assert np.array_equal(ensemble.weights, weights)
+        assert np.array_equal(ensemble.weights, weights.T)
         assert np.array_equal(ensemble.bias, bias)
 
     def test_column_permutation_permutes_outputs(self):
@@ -1011,7 +1011,7 @@ def reference_linear_outputs(ensemble, data):
     verbatim as its exact oracle: one `np.bincount` per column."""
     row_ids = np.repeat(np.arange(data.num_rows), np.diff(data.indptr))
     buffer = np.empty((data.num_rows, ensemble.code_length))
-    for j, w in enumerate(ensemble.weights):
+    for j, w in enumerate(ensemble.weights.T):
         contrib = w[data.indices] * data.values
         buffer[:, j] = (
             np.bincount(row_ids, weights=contrib, minlength=data.num_rows)
@@ -1021,11 +1021,12 @@ def reference_linear_outputs(ensemble, data):
 
 
 def linear_ensemble(weights, bias):
+    """A linear ensemble whose column j has weights `weights[j]` and bias `bias[j]`."""
     weights = np.asarray(weights, dtype=np.float64)
     ensemble = learners.new_ensemble(
         weights.shape[0], LearnerSpec(kind=LINEAR_SGD), weights.shape[1]
     )
-    ensemble.weights[:], ensemble.bias[:] = weights, bias
+    ensemble.weights[:], ensemble.bias[:] = weights.T, bias
     return ensemble
 
 
@@ -1132,8 +1133,8 @@ class TestLinearOutputs:
 
     def test_predict_takes_less_than_an_entry_by_column_block(self):
         # rows of about 60 entries over 100 features: the scratch is a few
-        # (N, L) blocks and one (F, L) copy of the weights, well under the
-        # (nnz, L) array a gather of every entry for every column would take;
+        # (N, L) blocks, well under the (nnz, L) array a gather of every
+        # entry for every column would take;
         # six rows of 10000 entries are each finished in one (10000, L) block
         rng = np.random.default_rng(29)
         uniform, _ = random_sparse(rng, 300, 100, zero_fraction=0.4)
@@ -1152,6 +1153,25 @@ class TestLinearOutputs:
             finally:
                 tracemalloc.stop()
             assert peak < entry_block
+
+    def test_predict_reads_the_weights_in_place(self):
+        # ten short rows over 20k features: the pass reads the (F, L)
+        # weights as they are, so it peaks far below one copy of them
+        rng = np.random.default_rng(37)
+        data = csr_dataset(
+            [[(int(f), 1.0) for f in np.sort(rng.choice(20000, 30, replace=False))]
+             for _ in range(10)],
+            20000,
+        )
+        ensemble = linear_ensemble(rng.normal(size=(25, 20000)), np.zeros(25))
+        learners.predict_all(ensemble, data)
+        tracemalloc.start()
+        try:
+            learners.predict_all(ensemble, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ensemble.weights.nbytes
 
 
 class TestSerialization:
@@ -1187,6 +1207,19 @@ class TestSerialization:
         assert np.array_equal(
             learners.predict_all(ensemble, data), learners.predict_all(again, data)
         )
+
+    def test_linear_save_holds_less_than_its_file(self, tmp_path):
+        # lines are written as they are made, never joined into the file's text
+        rng = np.random.default_rng(38)
+        ensemble = linear_ensemble(rng.normal(size=(25, 10000)), rng.normal(size=25))
+        path = tmp_path / "ensemble.txt"
+        tracemalloc.start()
+        try:
+            learners.save_ensemble(ensemble, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     @pytest.mark.parametrize("kind", [BOOSTED_TREES, LINEAR_SGD])
     def test_bad_numbers_are_parse_errors_naming_file_and_line(self, tmp_path, kind):

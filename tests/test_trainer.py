@@ -425,6 +425,29 @@ class TestLinearLearnerLoop:
         )
         assert fired == [1, 2, 3, 4, 5]
 
+    def test_weights_stay_one_c_contiguous_feature_by_column_array(
+        self, tmp_path, small_blobs
+    ):
+        train, test, _ = small_blobs
+        spec = LearnerSpec(kind=LINEAR_SGD, learning_rate=0.002)
+
+        def assert_layout(ensemble):
+            assert ensemble.weights.shape == (train.num_features, 4)
+            assert ensemble.weights.flags.c_contiguous
+
+        ensemble = learners.new_ensemble(4, spec, train.num_features)
+        assert_layout(ensemble)
+        outputs = np.zeros((train.num_rows, 4))
+        learners.train_round(ensemble, train, codebook.init_random(4, 4, seed=0), outputs)
+        assert_layout(ensemble)
+        model = trainer.fit(
+            train, test, quick_config(max_rounds=40, early_stop_rounds=3, learner=spec)
+        )
+        assert model.best_round < len(model.history)  # restored from a snapshot
+        assert_layout(model.ensemble)
+        learners.save_ensemble(model.ensemble, tmp_path / "ensemble.txt")
+        assert_layout(learners.load_ensemble(tmp_path / "ensemble.txt"))
+
 
 class TestModelBundle:
     def test_save_load_round_trip(self, tmp_path, small_blobs):
