@@ -71,7 +71,7 @@ _OPTIONS = {
     "max_leaves": ("learner.max_leaves", int, "leaves per tree"),
     "min_samples_leaf": ("learner.min_samples_leaf", int, "rows per leaf, at least"),
     "epochs_per_round": ("learner.epochs_per_round", int, "linear SGD epochs per round"),
-    "threads": ("threads", int, "threads for tree columns; linear runs on one"),
+    "threads": ("threads", int, "parallel workers for tree columns; linear runs on one"),
     "seed": ("seed", int, "random seed"),
     "valid_fraction": (None, float, "validation share of --data without --valid"),
 }

@@ -5,14 +5,14 @@ M[label_i, j]. Two kinds are built in: gradient-boosted regression trees
 (splits over value bins of sparse rows, one tree per outer round,
 predictions are the shrinkage-scaled sum of tree outputs) and a
 per-instance SGD linear model. Columns are independent. Tree columns may
-be fitted on parallel threads, which only grow trees; the linear learner
-updates all L columns per instance in one loop, on the rows of its (F, L)
-weights. Every output buffer, the training one too, is then refreshed by
-`accumulate_round_outputs`: one running sum of stages. Linear outputs are
-written afresh, all L columns in one pass over the stored entries (rows
-much longer than the rest are finished one at a time), summed in the
-order a per-column `np.bincount` sums them, so the bits match that form's
-(`_add_outputs`).
+be fitted in forked worker processes, which only grow trees and send them
+back; the linear learner updates all L columns per instance in one loop,
+on the rows of its (F, L) weights. Every output buffer, the training one
+too, is then refreshed by `accumulate_round_outputs`: one running sum of
+stages. Linear outputs are written afresh, all L columns in one pass over
+the stored entries (rows much longer than the rest are finished one at a
+time), summed in the order a per-column `np.bincount` sums them, so the
+bits match that form's (`_add_outputs`).
 
 Trees grow on a dataset's `groups`: its stored entries binned per feature
 into at most `data_io.MAX_BINS` bins, one bin per value where a feature
@@ -36,7 +36,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,7 @@ from .errors import (
     EmptyDataset,
     IndexOutOfRange,
     InvalidArg,
+    LightMCError,
     NonFiniteGradient,
     ParseError,
     check_settings,
@@ -143,9 +148,9 @@ def _go_left(rows, ent_rows, ent_vals, threshold, side) -> np.ndarray:
 
 
 class _Workspace:
-    """The scratch a tree grows in. Each worker of a `train_round` owns one,
-    allocated for that round and reused for every tree of its stride of
-    columns.
+    """The scratch a tree grows in. Each worker of a `train_round` makes one
+    in its own process, for that round, and reuses it for every tree of its
+    stride of columns.
 
     A node's rows are `[rlo, rhi)` of `rows`, ascending; a split partitions
     that range in place (`_partition`). The root's running sums are
@@ -473,11 +478,14 @@ def train_round(
     round one): trees fit one new stage per column to the residuals, the
     linear learner runs its SGD epochs from its current weights. Then
     `accumulate_round_outputs` brings `outputs` up to date. Only tree
-    fitting runs on `threads` threads: worker w fits columns w, w + workers,
-    ..., one after another, in its own workspace, made for this call on the
-    calling thread, and writes nothing but that workspace and those
-    columns' tree lists. The linear learner updates all L columns per
-    instance, so permuting columns permutes outputs exactly.
+    fitting is parallel, over `threads` workers: worker w fits columns w,
+    w + workers, ..., one after another, in a workspace of its own. Worker 0
+    is the calling thread; each other one is a child forked once the shared
+    views are built (`_in_workers`), which reads them copy-on-write and
+    sends its new trees back. Where `os.fork` is missing or another Python
+    thread runs, every column is fitted on the calling thread. The linear
+    learner updates all L columns per instance, so permuting columns
+    permutes outputs exactly.
     """
     if data.num_rows == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -490,28 +498,105 @@ def train_round(
     labels = check_labels(data.labels, matrix.num_classes, data.num_rows)
     targets = matrix.entries[labels]
     if ensemble.is_boosting:
-        data.groups, data.columns  # build the shared views outside worker threads
+        data.groups, data.columns  # build the shared views before forking
         workers = max(1, min(threads, ensemble.code_length))
-        # made here, not on the workers: per-thread malloc arenas held about
-        # 3 MB more peak RSS on sparse_topics_trees
-        kept = [_Workspace(data) for _ in range(workers)]
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            workers = 1  # forking a process that runs other threads is unsafe
 
-        def fit_columns(w: int) -> None:
-            """Worker w's trees: columns w, w + workers, ..., in `kept[w]`."""
-            for j in range(w, ensemble.code_length, workers):
-                residuals = targets[:, j] - outputs[:, j]
-                ensemble.trees[j].append(_fit_tree(data, residuals, ensemble.spec, kept[w]))
+        def fit_columns(w: int) -> list[_Tree]:
+            """Worker w's new trees: columns w, w + workers, ..., in one workspace."""
+            ws = _Workspace(data)
+            return [
+                _fit_tree(data, targets[:, j] - outputs[:, j], ensemble.spec, ws)
+                for j in range(w, ensemble.code_length, workers)
+            ]
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fit_columns, range(workers)))
-        else:  # on the calling thread, where profilers look
-            fit_columns(0)
+        for w, trees in enumerate(_in_workers(fit_columns, workers)):
+            for j, tree in zip(range(w, ensemble.code_length, workers), trees):
+                ensemble.trees[j].append(tree)
     else:
         _fit_linear(ensemble, data, targets)
     accumulate_round_outputs(ensemble, data, outputs)
     ensemble.rounds_done += 1
     return ensemble
+
+
+def _in_workers(task, workers: int) -> list:
+    """[task(0), ..., task(workers - 1)]: task(0) on the calling thread, and
+    each other one in a child process forked for it.
+
+    A child sends its result, or the exception it raised, back over a pipe
+    as one pickle, and ends with `os._exit`: it never returns into the
+    caller, and runs no atexit handler or stdio flush. A child's exception
+    is raised here as it was raised there. A child that ends without a
+    readable result is a LightMCError naming the worker and how it ended.
+    Every child is reaped before this returns or raises; if the caller's
+    own share raises, or it is interrupted, the children still running are
+    killed first.
+    """
+    running: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns of any thread of the process; no Python
+                # thread runs here, and native pools such as BLAS's handle fork
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                for _, fd in running.values():
+                    os.close(fd)
+                os.close(read_end)
+                _child(task, w, write_end)
+            running[w] = (pid, read_end)
+            os.close(write_end)
+        results = [task(0)]
+        for w, (pid, fd) in list(running.items()):
+            with open(fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[w]
+            os.close(fd)
+            results.append(_received(w, payload, status))
+        return results
+    finally:
+        for pid, fd in running.values():
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+
+
+def _child(task, w: int, fd: int):
+    """In a forked child: send task(w), or what it raised, over `fd`, then end."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, task(w)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # raised again by the parent
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(w: int, payload: bytes, status: int):
+    """What worker w sent, or the exception it sent raised."""
+    try:
+        done, value = pickle.loads(payload)
+    except Exception:  # empty or cut short: any of pickle's errors
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise LightMCError(
+            f"tree worker {w} ended with {how} and sent no result"
+        ) from None
+    if not done:
+        raise value
+    return value
 
 
 def _fit_linear(ensemble, data, targets) -> None:
@@ -558,8 +643,8 @@ def accumulate_round_outputs(
 
     Boosting adds only the newest stage; the linear learner recomputes its
     columns. The buffer must have been kept current since round zero.
-    `train_round` refreshes its training buffer here once its column
-    threads have finished.
+    `train_round` refreshes its training buffer here once every column's
+    new tree is in.
     """
     _add_outputs(ensemble, data, buffer, slice(-1, None))
 

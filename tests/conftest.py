@@ -1,6 +1,9 @@
 """Shared test helpers: independent numerical oracles and reporting."""
 
+import os
+
 import numpy as np
+import pytest
 
 from lightmc import softmax_decoder as sd
 
@@ -14,6 +17,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` makes while the test runs."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
 
 
 def numeric_gradients(params, outputs, label, h=1e-5):

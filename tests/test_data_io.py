@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -221,6 +222,26 @@ class TestBundleReaders:
         assert text == "0.0 -0.0 5e-324 -1e+308 0.1 0.3333333333333333"
         again = data_io.parse_floats("f.txt", 1, text.split(), row.size)
         assert again.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "1__0", "_1", "0x10", "1e", "", "infinity", "+nan", "-0", "1e999",
+         "\u0661\u0662", " 2.5 ", "5e-324", "0.1"],
+    )
+    def test_parse_floats_reads_a_token_as_float_does(self, token):
+        # a token float() reads to a finite value is that value, bit for bit;
+        # any other token, non-finite ones too, is a ParseError
+        try:
+            expected = float(token)
+        except ValueError:
+            expected = math.nan
+        if math.isfinite(expected):
+            got = data_io.parse_floats("f.txt", 3, ["1", token], 2)
+            assert got.tobytes() == np.array([1.0, expected]).tobytes()
+        else:
+            with pytest.raises(ParseError) as info:
+                data_io.parse_floats("f.txt", 3, ["1", token], 2)
+            assert str(info.value) == "line 3: f.txt: expected 2 finite numbers"
 
     @pytest.mark.parametrize(
         "tokens, count",

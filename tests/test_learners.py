@@ -1,7 +1,10 @@
 import gc
 import heapq
+import os
 import resource
-import sys
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,8 @@ from lightmc.errors import (
     EmptyDataset,
     IndexOutOfRange,
     InvalidArg,
+    LightMCError,
+    NonFiniteGradient,
     ParseError,
 )
 from lightmc.learners import (
@@ -689,7 +694,7 @@ class TestTreeFitting:
         assert faults < 2000
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_workspaces_last_one_round(self, threads):
+    def test_workspaces_last_one_round(self, threads, forks):
         def held() -> int:
             gc.collect()
             return sum(isinstance(o, _Workspace) for o in gc.get_objects())
@@ -706,6 +711,7 @@ class TestTreeFitting:
         rounds = []
         trainer.fit(data, valid, config, round_hook=lambda info: rounds.append(held()))
         assert rounds == [0, 0, 0]
+        assert len(forks) == (4 if threads == 2 else 0)  # one child per round
 
     def test_workspace_holds_few_bytes_per_entry(self):
         # the workspace takes 41 bytes per group (the split search's scratch
@@ -943,7 +949,7 @@ class TestEnsemble:
         agreement = np.mean(np.sign(outputs) == np.sign(targets))
         assert agreement > 0.9
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, forks):
         rng = np.random.default_rng(14)
         data, _ = random_sparse(rng, 60, 5)
         # with 5 columns, 2 and 3 workers take strides of unequal length
@@ -955,30 +961,32 @@ class TestEnsemble:
             out_pooled = np.zeros((60, code_length))
             for _ in range(2):
                 learners.train_round(serial, data, m, out_serial, threads=1)
+                assert not forks
                 learners.train_round(pooled, data, m, out_pooled, threads=threads)
+                # the caller is worker 0, so workers - 1 children per round
+                assert len(forks) == min(threads, code_length) - 1
+                forks.clear()
             assert np.array_equal(
                 learners.predict_all(serial, data), learners.predict_all(pooled, data)
             )
 
-    def test_thread_switches_do_not_change_buffers(self):
+    def test_thread_switches_do_not_change_buffers(self, forks):
         rng = np.random.default_rng(16)
         data, _ = random_sparse(rng, 80, 6, num_classes=5)
         m = codebook.init_random(5, 8, seed=3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for kind in (BOOSTED_TREES, LINEAR_SGD):
-                buffers = []
-                for threads in (1, 8):
-                    ensemble = learners.new_ensemble(
-                        8, LearnerSpec(kind=kind), data.num_features, seed=2
-                    )
-                    buffers.append(np.zeros((80, 8)))
-                    for _ in range(3):
-                        learners.train_round(ensemble, data, m, buffers[-1], threads)
-                assert np.array_equal(buffers[0], buffers[1])
-        finally:
-            sys.setswitchinterval(interval)
+        for kind in (BOOSTED_TREES, LINEAR_SGD):
+            buffers = []
+            for threads in (1, 8):
+                ensemble = learners.new_ensemble(
+                    8, LearnerSpec(kind=kind), data.num_features, seed=2
+                )
+                buffers.append(np.zeros((80, 8)))
+                for _ in range(3):
+                    learners.train_round(ensemble, data, m, buffers[-1], threads)
+            assert np.array_equal(buffers[0], buffers[1])
+            # trees fork 7 children a round at threads=8; linear never forks
+            assert len(forks) == (21 if kind == BOOSTED_TREES else 0)
+            forks.clear()
 
     def test_errors(self):
         rng = np.random.default_rng(15)
@@ -1052,6 +1060,95 @@ def assert_same_bits(ensemble, data):
     buffer = np.full_like(got, np.nan)
     learners.accumulate_round_outputs(ensemble, data, buffer)
     assert buffer.tobytes() == want.tobytes()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTreeWorkers:
+    """Tree columns fitted in forked children: failures and fallbacks."""
+
+    def setup_round(self):
+        rng = np.random.default_rng(19)
+        data, _ = random_sparse(rng, 50, 5)
+        m = codebook.init_random(3, 3, seed=4)
+        ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=4), data.num_features)
+        return ensemble, data, m, np.zeros((50, 3))
+
+    def in_children(self, monkeypatch, action):
+        """Make `_fit_tree` run `action` in a forked child, and fit as before here."""
+        parent, fit_tree = os.getpid(), learners._fit_tree
+
+        def patched(*args):
+            if os.getpid() != parent:
+                action()
+            return fit_tree(*args)
+
+        monkeypatch.setattr(learners, "_fit_tree", patched)
+
+    def test_a_round_leaves_no_child(self, forks):
+        learners.train_round(*self.setup_round(), threads=2)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_child_error_is_raised_as_it_was(self, monkeypatch, forks):
+        def fail():
+            raise InvalidArg("column 1 has no split")
+
+        self.in_children(monkeypatch, fail)
+        with pytest.raises(InvalidArg) as caught:
+            learners.train_round(*self.setup_round(), threads=2)
+        assert type(caught.value) is InvalidArg
+        assert str(caught.value) == "column 1 has no split"
+        assert len(forks) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ], ids=["exit", "killed"])
+    def test_child_that_sends_nothing_is_named(self, monkeypatch, forks, end, how):
+        self.in_children(monkeypatch, end)
+        with pytest.raises(LightMCError, match=f"^tree worker 1 ended with {how} and sent"):
+            learners.train_round(*self.setup_round(), threads=2)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_own_failure_kills_the_children(self, monkeypatch, forks):
+        parent, fit_tree = os.getpid(), learners._fit_tree
+
+        def patched(*args):
+            if os.getpid() == parent:
+                raise NonFiniteGradient("worker 0 failed")
+            time.sleep(60)  # a child fits forever unless it is killed
+            return fit_tree(*args)
+
+        monkeypatch.setattr(learners, "_fit_tree", patched)
+        started = time.monotonic()
+        with pytest.raises(NonFiniteGradient, match="worker 0 failed"):
+            learners.train_round(*self.setup_round(), threads=3)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        serial = self.setup_round()
+        learners.train_round(*serial, threads=1)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            pooled = self.setup_round()
+            learners.train_round(*pooled, threads=2)
+        finally:
+            stop.set()
+            other.join()
+        assert not forks
+        for a, b in zip(serial[0].trees, pooled[0].trees):
+            assert all(np.array_equal(getattr(a[0], f), getattr(b[0], f))
+                       for f in learners._Tree.__slots__)
 
 
 class TestLinearOutputs:

@@ -480,13 +480,17 @@ class TestModelBundle:
          LearnerSpec(kind=LINEAR_SGD, learning_rate=0.002, epochs_per_round=2)],
         ids=["trees", "linear_sgd"],
     )
-    def test_bundle_bytes_do_not_depend_on_threads(self, tmp_path, small_blobs, learner):
+    def test_bundle_bytes_do_not_depend_on_threads(self, tmp_path, small_blobs, learner,
+                                                   forks):
         train, test, _ = small_blobs
         for threads in (1, 2):
             model = trainer.fit(
                 train, test, quick_config(max_rounds=4, learner=learner, threads=threads)
             )
             trainer.save_model(model, tmp_path / str(threads))
+            # tree columns fork one child a round at threads=2; linear never forks
+            trees = threads == 2 and learner.kind == learners.BOOSTED_TREES
+            assert len(forks) == (len(model.history) if trees else 0)
         names = sorted(p.name for p in (tmp_path / "1").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
         for name in names:
