@@ -19,9 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyFile,
     IndexOutOfRange,
     InvalidArg,
+    NonFiniteInput,
     ParseError,
     TooFewInstances,
     check_settings,
@@ -54,14 +56,19 @@ class GroupIndex(NamedTuple):
 class SparseDataset:
     """Row-sparse feature matrix (CSR arrays) with dense integer labels.
 
-    Immutable after construction; per-row feature indices are strictly
-    increasing, and an index outside [0, num_features) raises
-    IndexOutOfRange. `label_names[k]` is the original token of dense class k,
-    which the text formats hold only if it is a nonblank token not led by '#'.
-    Trees read the entries through two cached views, each built on first
-    use: `columns`, the entries of each feature in value order, which
-    routes rows down a tree, and `groups`, the entries binned per feature
-    into at most `MAX_BINS` value ranges, which the split search scans.
+    Immutable after construction, and checked as it is made: `indptr` starts
+    at 0, never decreases and ends at the number of stored entries (else
+    InvalidArg); `values` holds one entry per index, `labels` one per row and
+    `label_names` one per class (else DimensionMismatch); feature indices lie
+    in [0, num_features) and labels in [0, num_classes) (else
+    IndexOutOfRange); indices rise strictly within each row (else
+    InvalidArg); values are finite (else NonFiniteInput). `label_names[k]` is
+    the original token of dense class k, which the text formats hold only if
+    it is a nonblank token not led by '#'. Trees read the entries through two
+    cached views, each built on first use: `columns`, the entries of each
+    feature in value order, which routes rows down a tree and is the one
+    sort of the entries, and `groups`, which bins each feature's run of
+    `columns` into at most `MAX_BINS` value ranges for the split search.
     """
 
     indptr: np.ndarray
@@ -80,12 +87,32 @@ class SparseDataset:
         vals = np.asarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.indices.size and not (
-            0 <= self.indices.min() and self.indices.max() < self.num_features
-        ):
+        indptr, indices, labels = self.indptr, self.indices, self.labels
+        entries = indices.shape[0]
+        if not (indptr.ndim == indices.ndim == 1 and indptr.size and indptr[0] == 0
+                and indptr[-1] == entries and np.all(np.diff(indptr) >= 0)):
+            raise InvalidArg(
+                f"indptr must start at 0, never decrease and end at the {entries} "
+                "stored entries"
+            )
+        if vals.shape != indices.shape or labels.shape != (self.num_rows,):
+            raise DimensionMismatch(
+                "values must hold one entry per index, and labels one per row"
+            )
+        if len(self.label_names) != self.num_classes:
+            raise DimensionMismatch(
+                f"{len(self.label_names)} label names for {self.num_classes} classes"
+            )
+        if entries and not (0 <= indices.min() and indices.max() < self.num_features):
             raise IndexOutOfRange(
                 f"feature indices must lie in [0, {self.num_features})"
             )
+        if not _rising_within_rows(indices, indptr[1:]):
+            raise InvalidArg("feature indices must rise strictly within each row")
+        if not np.isfinite(vals).all():
+            raise NonFiniteInput("feature values must be finite")
+        if labels.size and not (0 <= labels.min() and labels.max() < self.num_classes):
+            raise IndexOutOfRange(f"labels must lie in [0, {self.num_classes})")
         for name in self.label_names:
             if fault := _label_name_fault(name):
                 raise InvalidArg(fault)
@@ -97,10 +124,6 @@ class SparseDataset:
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
-
-    def _order(self) -> np.ndarray:
-        """The permutation that sorts the stored entries by (feature, value)."""
-        return np.lexsort((self.values, self.indices))
 
     @cached_property
     def sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,19 +137,19 @@ class SparseDataset:
     def groups(self) -> GroupIndex:
         """The stored entries binned into (feature, bin) groups, for tree training.
 
-        Built on first use and sized by the stored entries. A feature with at
-        most `MAX_BINS` distinct stored values keeps one bin per value. A
-        feature with more gets at most `MAX_BINS` bins of about equal entry
-        counts, cut only where the value changes and wherever its sign does,
-        so a bin never holds both a negative and a positive value, and zero
-        is a bin of its own. Groups are numbered in (feature, value) order.
+        Built on first use by cutting each feature's run of `columns`, and
+        sized by the stored entries. A feature with at most `MAX_BINS`
+        distinct stored values keeps one bin per value. A feature with more
+        gets at most `MAX_BINS` bins of about equal entry counts, cut only
+        where the value changes and wherever its sign does, so a bin never
+        holds both a negative and a positive value, and zero is a bin of its
+        own. Groups are numbered in (feature, value) order.
         """
-        order = self._order()
-        sf, sv = self.indices[order], self.values[order]
-        entries = sf.shape[0]
-        new_feature = np.empty(entries, dtype=bool)
-        new_feature[:1] = True
-        np.not_equal(sf[1:], sf[:-1], out=new_feature[1:])
+        col_indptr, rows, sv = self.columns
+        entries = sv.shape[0]
+        stored = np.flatnonzero(np.diff(col_indptr))  # the features with entries
+        new_feature = np.zeros(entries, dtype=bool)
+        new_feature[col_indptr[stored]] = True
         cut = np.empty(entries, dtype=bool)  # a group's first entry
         cut[:1] = True
         np.not_equal(sv[1:], sv[:-1], out=cut[1:])
@@ -141,9 +164,10 @@ class SparseDataset:
         groups = first.shape[0]
         count = np.diff(first, append=entries)
         low, high = sv[first], sv[first + count - 1]
-        entry_group = np.cumsum(cut)
+        # sorted stably by row, the column view is in storage order, as each
+        # row stores its features in rising order
+        entry_group = np.cumsum(cut)[np.argsort(rows, kind="stable")]
         entry_group -= 1
-        entry_group[order] = entry_group.copy()  # from sorted to storage order
         # the stored side of each group's cut
         at = np.arange(groups)
         feature_start = np.append(np.flatnonzero(new_feature[first]), groups)
@@ -152,7 +176,7 @@ class SparseDataset:
         start = np.where(negative, feature_start[segment], at)
         end = np.where(negative, at + 1, feature_start[segment + 1])
         np.copyto(end, at, where=low == 0.0)
-        return GroupIndex(entry_group, sf[first], count, low, high, start, end)
+        return GroupIndex(entry_group, stored[segment], count, low, high, start, end)
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +185,7 @@ class SparseDataset:
         Feature f's entries are `[col_indptr[f], col_indptr[f + 1])` of the
         row and value arrays, ordered by value within a column, not by row.
         """
-        order = self._order()
+        order = np.lexsort((self.values, self.indices))
         rows = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))[order]
         counts = np.bincount(self.indices, minlength=self.num_features)
         return np.concatenate(([0], np.cumsum(counts))), rows, self.values[order]
@@ -187,6 +211,16 @@ def _bin_cuts(values, new_feature, new_value) -> np.ndarray:
     return fresh & new_value
 
 
+def _rising_within_rows(indices, ends) -> bool:
+    """Whether `indices` rise strictly within each row, where `ends` holds
+    each row's end, as in `indptr[1:]`: the pair across a row's end is
+    exempt, and an end at the first entry or after the last one has no such
+    pair."""
+    rising = np.diff(indices) > 0
+    rising[ends[(0 < ends) & (ends < indices.shape[0])] - 1] = True
+    return bool(rising.all())
+
+
 def _label_name_fault(name: str) -> str | None:
     """Why the text formats cannot hold a label name, or None if they can."""
     if name.split() != [name] or name.startswith("#"):
@@ -199,14 +233,14 @@ def from_dense(
     labels: np.ndarray,
     label_names: tuple[str, ...] | None = None,
 ) -> SparseDataset:
-    """Build a dataset from a dense array, dropping exact zeros."""
+    """Build a dataset from a dense array, dropping exact zeros. Given
+    `label_names` name every class; by default classes are 0 .. max(labels)."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise InvalidArg("features must be (N, F) with one label per row")
-    num_classes = int(labels.max()) + 1 if labels.size else 0
     if label_names is None:
-        label_names = tuple(str(k) for k in range(num_classes))
+        label_names = tuple(str(k) for k in range(labels.max(initial=-1) + 1))
     rows, cols = np.nonzero(x)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=x.shape[0]))))
     return SparseDataset(
@@ -215,7 +249,7 @@ def from_dense(
         values=x[rows, cols],
         labels=labels,
         num_features=x.shape[1],
-        num_classes=num_classes,
+        num_classes=len(label_names),
         label_names=label_names,
     )
 
@@ -315,12 +349,9 @@ def _convert_block(lines, shift, num_features, mapping, frozen):
     if count and not shift <= raw.min() <= raw.max() <= top:
         return None
     indices = raw - shift
-    # indices rise within a row: the pair across a row's end is exempt, and
-    # an end at the first entry or after the last one has no such pair
-    rising = np.diff(indices) > 0
-    ends = np.cumsum(lengths)
-    rising[ends[(0 < ends) & (ends < count)] - 1] = True
-    if not (rising.all() and np.isfinite(values).all()) or (
+    if not (
+        _rising_within_rows(indices, np.cumsum(lengths)) and np.isfinite(values).all()
+    ) or (
         frozen and not mapping.keys() >= set(names)
     ):
         return None

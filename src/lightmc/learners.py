@@ -498,7 +498,7 @@ def train_round(
     labels = check_labels(data.labels, matrix.num_classes, data.num_rows)
     targets = matrix.entries[labels]
     if ensemble.is_boosting:
-        data.groups, data.columns  # build the shared views before forking
+        data.groups  # build the shared views, `columns` with it, before forking
         workers = max(1, min(threads, ensemble.code_length))
         if not hasattr(os, "fork") or threading.active_count() > 1:
             workers = 1  # forking a process that runs other threads is unsafe

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from lightmc import cli, codebook, data_io, softmax_decoder as sd, synthetic, trainer
 from lightmc.errors import (
+    DimensionMismatch,
     EmptyFile,
+    IndexOutOfRange,
     InvalidArg,
+    NonFiniteInput,
     ParseError,
     TooFewInstances,
 )
@@ -453,6 +456,60 @@ class TestSparseDatasetViews:
         assert np.array_equal(order, np.arange(sf.shape[0]))
         for f, v, r in zip(sf[:20], sv[:20], srow[:20]):
             assert dense[r, f] == v
+
+
+# two rows, (0: 1.0, 2: -1.0) of class 0 and (1: 2.0) of class 1
+GOOD_FIELDS = dict(
+    indptr=[0, 2, 3],
+    indices=[0, 2, 1],
+    values=[1.0, -1.0, 2.0],
+    labels=[0, 1],
+    num_features=3,
+    num_classes=2,
+    label_names=("a", "b"),
+)
+
+
+class TestSparseDatasetChecks:
+    def test_good_fields_make_a_dataset(self):
+        data = data_io.SparseDataset(**GOOD_FIELDS)
+        assert data.num_rows == 2 and data.row(0)[0].tolist() == [0, 2]
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"indptr": [1, 3, 3]}, InvalidArg, "indptr must start at 0"),
+            ({"indptr": [0, 2]}, InvalidArg, "indptr must start at 0"),
+            ({"indptr": [0, 1, 2]}, InvalidArg, "indptr must start at 0"),
+            ({"indptr": [0, 2, 4]}, InvalidArg, "indptr must start at 0"),
+            ({"indptr": [0, 3, 2, 3], "labels": [0, 1, 0]}, InvalidArg, "indptr must"),
+            ({"indptr": []}, InvalidArg, "indptr must start at 0"),
+            ({"values": [1.0, -1.0]}, DimensionMismatch, "one entry per index"),
+            ({"labels": [0]}, DimensionMismatch, "labels one per row"),
+            ({"indices": [2, 0, 1]}, InvalidArg, "rise strictly within each row"),
+            ({"indices": [2, 2, 1]}, InvalidArg, "rise strictly within each row"),
+            ({"values": [1.0, math.nan, 2.0]}, NonFiniteInput, "finite"),
+            ({"values": [1.0, -math.inf, 2.0]}, NonFiniteInput, "finite"),
+            ({"labels": [0, 2]}, IndexOutOfRange, r"labels must lie in \[0, 2\)"),
+            ({"labels": [-1, 1]}, IndexOutOfRange, r"labels must lie in \[0, 2\)"),
+            ({"label_names": ("a",)}, DimensionMismatch, "1 label names for 2 classes"),
+        ],
+        ids=[
+            "indptr_offset", "indptr_short", "indptr_ends_early", "indptr_ends_late",
+            "indptr_decreasing", "indptr_empty", "values_short", "labels_short",
+            "row_unsorted", "row_repeats_index", "value_nan", "value_infinite",
+            "label_too_large", "label_negative", "label_names_short",
+        ],
+    )
+    def test_malformed_fields_are_rejected(self, change, error, message):
+        with pytest.raises(error, match=message):
+            data_io.SparseDataset(**{**GOOD_FIELDS, **change})
+
+    def test_from_dense_names_every_class_it_is_given(self):
+        names = ("a", "b", "c")
+        assert data_io.from_dense(np.eye(2), np.array([0, 1]), names).num_classes == 3
+        with pytest.raises(IndexOutOfRange, match="labels must lie"):
+            data_io.from_dense(np.eye(2), np.array([0, 3]), names)
 
 
 def _table_loader(header, types):

@@ -550,6 +550,23 @@ class TestBins:
                 assert low[low == 0.0].size == 1  # the stored zeros' own bin
             else:
                 assert np.array_equal(low, distinct) and np.array_equal(high, distinct)
+        # entry_group is in storage order, also with features that store nothing
+        wide = data_io.SparseDataset(
+            indptr=data.indptr,
+            indices=2 * data.indices,
+            values=data.values,
+            labels=data.labels,
+            num_features=4,
+            num_classes=1,
+            label_names=("0",),
+        )
+        assert np.any(np.diff(data.indptr) == 0)  # rows that store nothing
+        assert np.array_equal(wide.groups.feature, 2 * groups.feature)
+        for d in (data, wide):
+            group = d.groups.entry_group
+            assert np.array_equal(d.groups.feature[group], d.indices)
+            assert np.all(d.groups.low[group] <= d.values)
+            assert np.all(d.values <= d.groups.high[group])
 
     @pytest.mark.parametrize("msl", [1, 40])
     def test_split_is_the_best_cut_between_held_bins(self, msl):
