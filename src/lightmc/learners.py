@@ -17,8 +17,9 @@ bits match that form's (`_add_outputs`).
 Trees grow on a dataset's `groups`: its stored entries binned per feature
 into at most `data_io.MAX_BINS` bins, one bin per value where a feature
 has no more distinct stored values than that. A node is the sorted list
-of the (feature, bin) groups its rows' entries fall in, with their counts
-and residual sums, and the split search scans only that list: a feature's
+of the (feature, bin) groups its rows' entries fall in, with the running
+sums of their counts and residual sums; the split search scans only that
+list, and takes each cut's stored side from the index. A feature's
 implicit zeros are the node's totals less its stored entries, and are
 never materialised. A split builds only the child with fewer stored
 entries, from its rows' CSR entries; the larger child is the parent's list
@@ -42,6 +43,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,26 +189,19 @@ def _running(a, out) -> np.ndarray:
     return out
 
 
-class _Node:
+class _Node(NamedTuple):
     """A node's stored entries as a list of the groups of `data.groups` they
     fall in: ascending group ids, and the running sums over the list of the
     groups' entry counts and residual sums in the node, so that the groups
-    `[i, j)` hold `csum[j] - csum[i]` of residual. A split's larger child
-    is its parent's `_Node` less the smaller child (`subtract`), so a group
-    may hold no entry of the node. `start` and `end` are the index's
-    stored sides of the groups' cuts, renumbered to positions in the list.
+    `[i, j)` hold `csum[j] - csum[i]` of residual, and `ccount[-1]`, exact
+    since counts are whole, is the node's entry count. A split's larger
+    child is its parent's `_Node` less the smaller child (`subtract`), so a
+    group may hold no entry of the node.
     """
 
-    __slots__ = ("group", "ccount", "csum", "entries", "start", "end")
-
-    def __init__(self, index, group, ccount, csum, entries: int):
-        self.group, self.ccount, self.csum = group, ccount, csum
-        self.entries = entries
-        if group.shape[0] == index.start.shape[0]:  # every group
-            self.start, self.end = index.start, index.end
-        else:
-            self.start = group.searchsorted(index.start[group])
-            self.end = group.searchsorted(index.end[group])
+    group: np.ndarray
+    ccount: np.ndarray
+    csum: np.ndarray
 
     def subtract(self, child: _Node) -> None:
         """Take a child's groups out of this node's running sums, in place,
@@ -219,7 +214,6 @@ class _Node:
         span = np.diff(at, append=k)  # list items each of the child's sums is under
         self.ccount[at[0] + 1:] -= np.repeat(child.ccount[1:], span)
         self.csum[at[0] + 1:] -= np.repeat(child.csum[1:], span)
-        self.entries -= child.entries
 
 
 def _root_node(data: SparseDataset, residuals: np.ndarray, ws: _Workspace) -> _Node:
@@ -235,8 +229,7 @@ def _root_node(data: SparseDataset, residuals: np.ndarray, ws: _Workspace) -> _N
         np.add.at(csum[1:], index.entry_group[indptr[lo]:indptr[hi]],
                   np.repeat(residuals[lo:hi], length[lo:hi]))
     np.cumsum(csum, out=csum)
-    return _Node(index, np.arange(size), _running(index.count, ws.ccount[:size + 1]),
-                 csum, data.indices.shape[0])
+    return _Node(np.arange(size), _running(index.count, ws.ccount[:size + 1]), csum)
 
 
 def _rows_node(data: SparseDataset, residuals: np.ndarray, rows: np.ndarray) -> _Node:
@@ -259,8 +252,7 @@ def _rows_node(data: SparseDataset, residuals: np.ndarray, rows: np.ndarray) -> 
         group = np.flatnonzero(count)
         count, total = count[group], total[group]
     k = group.shape[0]
-    return _Node(index, group, _running(count, np.empty(k + 1)),
-                 _running(total, np.empty(k + 1)), entries)
+    return _Node(group, _running(count, np.empty(k + 1)), _running(total, np.empty(k + 1)))
 
 
 # a gain this close to the best, relative to the two side terms the best gain
@@ -275,7 +267,7 @@ def _best_split(ws, index, node: _Node, n, total_sum, spec):
     sorted by (feature, bin), and only they are scanned: the rows a
     feature does not store hold its implicit zeros, which are never
     materialised. Each group proposes one cut and sums only its stored
-    side of it (see `_Node`). A negative group proposes the cut just above
+    side of it (`GroupIndex`). A negative group proposes the cut just above
     it, and its stored side is a prefix of its feature's groups. A positive
     group proposes the cut just below it, and its stored side is a suffix
     of them. So the zero block, implicit and stored zeros alike, lies
@@ -294,16 +286,23 @@ def _best_split(ws, index, node: _Node, n, total_sum, spec):
     lowest (feature, threshold) among them wins: a stored side's sum is a
     difference of one running sum over the node, so two identical columns
     get gains that differ in their last bits, and the rounding of a gain
-    grows with its terms, not with the gain.
+    grows with its terms, not with the gain. Only a node that may split has
+    its stored sides renumbered to list positions (not one of every group).
     """
-    k = node.group.shape[0]
+    group, ccount = node.group, node.ccount
     msl = spec.min_samples_leaf
-    if n < 2 * msl or node.entries == 0:
+    if n < 2 * msl or ccount[-1] == 0:
         return None
-    stored = _take(node.csum, node.end, ws.stored)
-    stored -= _take(node.csum, node.start, ws.count)
-    count = _take(node.ccount, node.end, ws.count)
-    count -= _take(node.ccount, node.start, ws.other)
+    k = group.shape[0]
+    if k == index.start.shape[0]:  # every group: the index's own bounds
+        start, end = index.start, index.end
+    else:  # the index's bounds, renumbered to positions in the list
+        start = group.searchsorted(index.start[group])
+        end = group.searchsorted(index.end[group])
+    stored = _take(node.csum, end, ws.stored)
+    stored -= _take(node.csum, start, ws.count)
+    count = _take(ccount, end, ws.count)
+    count -= _take(ccount, start, ws.other)
     clipped = np.clip(count, msl, n - msl, out=ws.other[:k])
     bad = np.not_equal(count, clipped, out=ws.bad[:k])  # a side under the leaf minimum
     other = np.subtract(total_sum, stored, out=ws.count[:k])
@@ -320,7 +319,6 @@ def _best_split(ws, index, node: _Node, n, total_sum, spec):
     best = int(np.argmax(np.greater_equal(gain, top - _TIE * (top + parent), out=bad)))
 
     # the bins the node holds on either side of the cut
-    group, ccount = node.group, node.ccount
     g = int(group[best])
     feat = int(index.feature[g])
     a, b = group.searchsorted(index.feature.searchsorted([feat, feat + 1]))
@@ -398,7 +396,7 @@ def _fit_tree(data, residuals, spec, ws: _Workspace) -> _Tree:
         if len(nodes) + 2 < last_node:  # the children may still be split
             lrows = ws.rows[rlo:rmid]
             left_entries = int((data.indptr[lrows + 1] - data.indptr[lrows]).sum())
-            if 2 * left_entries <= node.entries:
+            if 2 * left_entries <= node.ccount[-1]:
                 left, right = _rows_node(data, residuals, lrows), node
                 node.subtract(left)
             else:
@@ -760,8 +758,9 @@ def _dump_tree(tree: _Tree, index: int):
         )
 
 
-def load_ensemble(path) -> BaseLearnerEnsemble:
-    """Read a save_ensemble file; the body must hold exactly the header's L members."""
+def load_ensemble(path, stages: int | None = None) -> BaseLearnerEnsemble:
+    """Read a save_ensemble file; the body must hold exactly the header's L
+    members, and tree members exactly `stages` stages each, if it is given."""
     code_length, kind, body = read_versioned(path, _HEADER, second=str)
     if kind not in _KINDS:
         raise ParseError(f"{path}: unknown learner kind {kind!r}", line=1)
@@ -771,13 +770,15 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
     if not 0.0 < alpha <= 1.0:
         raise ParseError(f"{path}: alpha must be in (0, 1], got {alpha}", line=2)
     members: list = []  # trees: a column's stages; linear: its (weights, bias)
+    member_lines = []  # trees: checked for `stages` once the member count holds
     pos = 2  # body line pos is line pos + 2 of the file
     while pos < len(body):
         if boosting:
-            *_, stages = _fields(body, pos, path, ("member", str(len(members)), int))
+            *_, count = _fields(body, pos, path, ("member", str(len(members)), int))
+            member_lines.append(pos + 2)
             pos += 1
             members.append([])
-            for stage in range(stages):
+            for stage in range(count):
                 tree, pos = _parse_tree(body, pos, path, stage, num_features)
                 members[-1].append(tree)
             continue
@@ -794,6 +795,10 @@ def load_ensemble(path) -> BaseLearnerEnsemble:
         pos += 3
     if len(members) != code_length or not members:
         raise ParseError(f"{path}: header declares {code_length} members", line=1)
+    for j, line in enumerate(member_lines):
+        if stages is not None and len(members[j]) != stages:
+            raise ParseError(f"{path}: member {j} holds {len(members[j])} stages, "
+                             f"expected {stages}", line=line)
     spec = LearnerSpec(kind=kind, learning_rate=alpha)
     if boosting:
         return BaseLearnerEnsemble(spec, num_features, 0, trees=members)
@@ -818,13 +823,16 @@ def _fields(body, pos, path, spec: tuple) -> list:
 
 
 def _parse_tree(body, pos, path, stage, num_features) -> tuple[_Tree, int]:
-    """Tree `stage` in pre-order: node i is the i-th line after its header,
-    and children come after their parent, which keeps traversal finite."""
+    """Tree `stage` in the pre-order `_dump_tree` writes: node i is the i-th
+    line after its header, a split's left child is the next node and its
+    right child the node after the left child's subtree, so every node but
+    the root is the child of exactly one node and traversal is finite."""
     *_, n_nodes = _fields(body, pos, path, ("tree", str(stage), int))
     end = pos + 1 + n_nodes
     if n_nodes < 1 or end > len(body):
         raise ParseError(f"{path}: tree {stage} declares {n_nodes} nodes", line=pos + 2)
     nodes = []
+    pending = []  # the splits whose right subtree is still to come
     for nid, at in enumerate(range(pos + 1, end)):
         fields = body[at].split()
         if len(fields) != 6 or fields[0] != str(nid):
@@ -834,11 +842,19 @@ def _parse_tree(body, pos, path, stage, num_features) -> tuple[_Tree, int]:
             threshold, value = float(fields[2]), float(fields[5])
         except ValueError:
             raise ParseError(f"{path}: bad number in node {nid}", line=at + 2) from None
-        children_later = nid < left < n_nodes and nid < right < n_nodes
-        is_split = 0 <= feature < num_features and children_later
+        is_split = 0 <= feature < num_features and left == nid + 1 < right < n_nodes
         is_leaf = feature == left == right == -1
         finite = math.isfinite(threshold) and math.isfinite(value)
         if not (is_leaf or is_split) or not finite:
             raise ParseError(f"{path}: node {nid} has a bad link or value", line=at + 2)
+        if is_split:
+            pending.append(nid)
+        elif pending:  # the next node is the right child of the nearest open split
+            parent = pending.pop()
+            if nodes[parent][3] != nid + 1:
+                raise ParseError(f"{path}: node {parent}'s right child does not follow "
+                                 "its left subtree", line=pos + 3 + parent)
+        elif nid + 1 < n_nodes:
+            raise ParseError(f"{path}: node {nid + 1} is no node's child", line=at + 3)
         nodes.append((feature, threshold, left, right, value))
     return _Tree(*zip(*nodes)), end

@@ -343,23 +343,25 @@ def load_model(model_dir) -> TrainedModel:
     meta = {key: value for _, key, value in read_settings(meta_path, keys)}
     if meta.get("format") != "lightmc-model v1":
         raise ParseError(f"{out}: unrecognized model bundle")
+    try:
+        mode, best_round = meta["mode"], int(meta["best_round"])
+        declared = {key: int(meta[key])
+                    for key in ("num_features", "num_classes", "code_length")}
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{meta_path}: missing or bad field ({exc})") from None
     matrix = codebook.load_matrix(out / _FILES["codebook"])
     decoder = softmax_decoder.load_params(out / _FILES["decoder"])
-    ensemble = learners.load_ensemble(out / _FILES["ensemble"])
     history = load_history(out / _FILES["history"])
+    if mode not in MODES or not 1 <= best_round <= len(history):
+        raise ParseError(f"{meta_path}: bad mode {mode!r} or best_round {best_round}")
+    # fit keeps the trees of rounds 1..best_round, one per member and round
+    ensemble = learners.load_ensemble(out / _FILES["ensemble"], stages=best_round)
     label_names = load_label_map(out / _FILES["labels"])
     found = {
         "num_features": {ensemble.num_features},
         "num_classes": {matrix.num_classes, decoder.num_classes, len(label_names)},
         "code_length": {matrix.code_length, decoder.code_length, ensemble.code_length},
     }
-    try:
-        mode, best_round = meta["mode"], int(meta["best_round"])
-        declared = {key: int(meta[key]) for key in found}
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{meta_path}: missing or bad field ({exc})") from None
-    if mode not in MODES or not 1 <= best_round <= len(history):
-        raise ParseError(f"{meta_path}: bad mode {mode!r} or best_round {best_round}")
     for key, sizes in found.items():
         if sizes != {declared[key]}:
             raise ParseError(

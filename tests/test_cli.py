@@ -325,6 +325,17 @@ def _set_first_leaf_value(lines, value):
     lines[leaf] = " ".join(lines[leaf].split()[:5] + [value])
 
 
+def _drop_last_stage(lines, member):
+    """Drop a member's last tree, and say so in its `member` line."""
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"member {member} "))
+    stages = int(lines[at].split()[2])
+    last = next(i for i in range(at, len(lines)) if lines[i].startswith(f"tree {stages - 1} "))
+    end = next((i for i in range(last, len(lines)) if lines[i].startswith("member ")),
+               len(lines))
+    del lines[last:end]
+    lines[at] = f"member {member} {stages - 1}"
+
+
 def _as_linear_with_first_weight(lines, weight):
     """Swap in a linear ensemble of the same shape whose first weight is `weight`."""
     code_length, features = int(lines[0].split()[2]), int(lines[2].split()[1])
@@ -377,6 +388,11 @@ CORRUPTIONS = {
     "tree_header_without_size": ("ensemble.txt", _edit_tree_line, 0, lambda f: f[:2]),
     "ensemble_cut_after_12_lines": ("ensemble.txt", _keep_first, 12),
     "ensemble_cut_after_40_lines": ("ensemble.txt", _keep_first, 40),
+    "tree_children_share_a_node": ("ensemble.txt", _set_root_field, 4, "1"),
+    "tree_right_child_skips_a_node": (
+        "ensemble.txt", _edit_tree_line, 1, lambda f: f[:4] + [str(int(f[4]) + 1), f[5]]
+    ),
+    "member_short_of_best_round": ("ensemble.txt", _drop_last_stage, 0),
 }
 
 

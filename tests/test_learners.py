@@ -181,21 +181,30 @@ def node_split(data, residuals, rows, spec, taken=()):
     built from its rows, or, if `taken` lists disjoint row sets that with
     `rows` make up every row, as the root's list less that of each set in
     turn, as the larger child of each split down a tree is; the workspace
-    holds what the root's search left in it."""
+    holds what the root's search left in it. Every node's last running
+    count must be the number of stored entries of its rows."""
     sf, sv, srow = data.sorted_entries
     ents = np.flatnonzero(np.isin(srow, rows))
     total = float(residuals[rows].sum())
     ws = _Workspace(data)
     root = _root_node(data, residuals, ws)
+    row_entries = np.diff(data.indptr)
+    assert root.ccount[-1] == row_entries.sum()
     _best_split(ws, data.groups, root, data.num_rows, float(residuals.sum()), spec)
     if taken:
         ccount, csum = root.ccount, root.csum
+        remaining = np.ones(data.num_rows, dtype=bool)
         for other in taken:
-            assert root.subtract(_rows_node(data, residuals, other)) is None
+            child = _rows_node(data, residuals, other)
+            assert child.ccount[-1] == row_entries[other].sum()
+            assert root.subtract(child) is None
+            remaining[other] = False
+            assert root.ccount[-1] == row_entries[remaining].sum()
         assert root.ccount is ccount and root.csum is csum
         node = root
     else:
         node = _rows_node(data, residuals, rows)
+        assert node.ccount[-1] == row_entries[rows].sum()
     got = _best_split(ws, data.groups, node, rows.size, total, spec)
     want = reference_best_split(sf, sv, srow, ents, rows, residuals, total, spec)
     return got, want
@@ -1334,6 +1343,55 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+    # a tree of 5 nodes in pre-order: 0 splits into 1 and 4, 1 into 2 and 3
+    _PRE_ORDER = ["0 0 0.5 1 4 0.0", "1 1 0.5 2 3 0.0", "2 -1 0.0 -1 -1 1.0",
+                  "3 -1 0.0 -1 -1 2.0", "4 -1 0.0 -1 -1 3.0"]
+
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            ({}, None, None),
+            ({0: "0 0 0.5 1 1 0.0"}, 6, "node 0 has a bad link"),  # both children node 1
+            ({0: "0 0 0.5 2 4 0.0"}, 6, "node 0 has a bad link"),  # left child not next
+            ({0: "0 0 0.5 1 3 0.0"}, 6, "node 0's right child does not follow"),
+            ({1: "1 1 0.5 2 4 0.0"}, 7, "node 1's right child does not follow"),
+            ({0: "0 -1 0.0 -1 -1 0.0"}, 7, "node 1 is no node's child"),
+        ],
+        ids=["pre_order", "shared_child", "left_not_next", "right_in_left_subtree",
+             "right_past_its_place", "unreachable_nodes"],
+    )
+    def test_trees_load_only_in_pre_order(self, tmp_path, edits, line, message):
+        nodes = [edits.get(i, text) for i, text in enumerate(self._PRE_ORDER)]
+        text = "\n".join(["lightmc-ensemble v1 1 boosted_trees", "alpha 0.5",
+                          "features 2", "member 0 1", "tree 0 5", *nodes]) + "\n"
+        path = tmp_path / "ensemble.txt"
+        path.write_text(text)
+        if message is None:
+            learners.save_ensemble(learners.load_ensemble(path), tmp_path / "again.txt")
+            assert (tmp_path / "again.txt").read_text() == text
+            return
+        with pytest.raises(ParseError, match=message) as info:
+            learners.load_ensemble(path)
+        assert info.value.line == line
+
+    def test_tree_members_hold_the_stages_asked_for(self, tmp_path):
+        rng = np.random.default_rng(23)
+        data, _ = random_sparse(rng, 30, 4)
+        ensemble = learners.new_ensemble(3, LearnerSpec(max_leaves=3), data.num_features)
+        outputs = np.zeros((30, 3))
+        for _ in range(2):
+            learners.train_round(ensemble, data, codebook.init_random(3, 3, seed=1), outputs)
+        del ensemble.trees[1][-1]
+        path = tmp_path / "ensemble.txt"
+        learners.save_ensemble(ensemble, path)
+        member_1 = path.read_text().splitlines().index("member 1 1") + 1
+        assert [len(t) for t in learners.load_ensemble(path).trees] == [2, 1, 2]
+        with pytest.raises(ParseError, match="member 0 holds 2 stages, expected 1"):
+            learners.load_ensemble(path, stages=1)
+        with pytest.raises(ParseError, match="member 1 holds 1 stages, expected 2") as info:
+            learners.load_ensemble(path, stages=2)
+        assert info.value.line == member_1
 
     @pytest.mark.parametrize("kind", [BOOSTED_TREES, LINEAR_SGD])
     def test_bad_numbers_are_parse_errors_naming_file_and_line(self, tmp_path, kind):
