@@ -9,7 +9,7 @@ is kept for reporting and for loading evaluation files consistently.
 from __future__ import annotations
 
 import csv
-import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +33,14 @@ MAX_FEATURE_INDEX = 2**31 - 1  # the 32-bit feature ids of LIBSVM-format readers
 BLOCK_LINES = 256  # lines load_sparse_text converts at once
 MAX_BINS = 255  # bins per feature of SparseDataset.groups
 _FLOAT_BLOCK = 1024  # values format_floats converts at once
+_REASONS = {  # why load_sparse_text refuses a line, from its first bad entry
+    "label": "unknown label {label!r} (not in the retained mapping)",
+    "entry": "malformed feature entry {entry!r}",
+    "range": "feature index {index} outside [{shift}, {top}]",
+    "order": "feature indices must be strictly increasing",
+    "value": "non-finite feature value {value!r}",
+    "count": "feature index {index} exceeds the expected feature count {num_features}",
+}
 
 
 class GroupIndex(NamedTuple):
@@ -271,13 +279,14 @@ def load_sparse_text(
     first appearance. `num_features` acts as a lower bound on the feature
     count; indices at or beyond it raise ParseError so a model's feature
     space is never silently exceeded. A file index above MAX_FEATURE_INDEX
-    raises ParseError. Any bad file ends in a ParseError that names its
-    first bad line.
+    raises ParseError. Any bad file ends in a ParseError that names the
+    file, its first bad line and why.
 
     The file is converted `BLOCK_LINES` lines at a time, and the blocks'
     arrays are joined at the end, so at its peak the loader holds the
-    finished arrays about twice. A block that fails any check is parsed
-    again line by line, to name the bad line.
+    finished arrays about twice. One function holds the format's checks. It
+    runs again on each line of a block that fails them, then on prefixes of
+    the first bad line, by bisection, to find that line's first bad entry.
     """
     if num_features is not None:
         check_settings(InvalidArg, (("num_features", num_features, int, ">= 0"),))
@@ -291,8 +300,8 @@ def load_sparse_text(
     with open(path, "r", encoding="utf-8") as fh:
         for lines in _line_blocks(fh, path):
             block = _convert_block(lines, *rules)
-            if block is None:
-                block = _parse_lines(lines, first_line, *rules)
+            if isinstance(block, str):
+                raise _block_fault(path, lines, first_line, rules)
             blocks.append(block)
             first_line += len(lines)
     labels, lengths, indices, values = map(np.concatenate, zip(*blocks))
@@ -328,33 +337,37 @@ def _line_blocks(fh, path):
 
 
 def _convert_block(lines, shift, num_features, mapping, frozen):
-    """The arrays of one block of lines, converted in bulk; None if any check fails."""
+    """The arrays of one block of lines, converted in bulk, or the `_REASONS`
+    key of the first check to fail, in the order a line's entries meet them."""
     names, lengths, text = _split_rows(lines)
+    if frozen and not mapping.keys() >= set(names):
+        return "label"
     count = int(lengths.sum())
     # each entry holds exactly one ':', so the separators run ':', ' ', ':', ...;
     # equal totals alone would pass the bare `5` and the `1:2:3` of `a 5 1:2:3`
     chars = np.frombuffer(text.encode(), dtype=np.uint8)
     colons = chars[(chars == ord(":")) | (chars == ord(" "))] == ord(":")
     if text.count(":") != count or not colons[::2].all():
-        return None
+        return "entry"
     pieces = text.replace(":", " ").split(" ") if count else []
+    # values first: a malformed value beside an index beyond 64 bits is malformed
     try:
-        raw = np.fromiter(map(int, pieces[::2]), dtype=np.int64, count=count)
         values = np.fromiter(map(float, pieces[1::2]), dtype=np.float64, count=count)
-    except (ValueError, OverflowError):
-        return None
-    top = MAX_FEATURE_INDEX
-    if num_features is not None:
-        top = min(top, num_features - 1 + shift)
-    if count and not shift <= raw.min() <= raw.max() <= top:
-        return None
+        raw = np.fromiter(map(int, pieces[::2]), dtype=np.int64, count=count)
+    except ValueError:
+        return "entry"
+    except OverflowError:
+        return "range"
+    high = raw.max(initial=shift - 1)
+    if raw.min(initial=shift) < shift or high > MAX_FEATURE_INDEX:
+        return "range"
     indices = raw - shift
-    if not (
-        _rising_within_rows(indices, np.cumsum(lengths)) and np.isfinite(values).all()
-    ) or (
-        frozen and not mapping.keys() >= set(names)
-    ):
-        return None
+    if not _rising_within_rows(indices, np.cumsum(lengths)):
+        return "order"
+    if not np.isfinite(values).all():
+        return "value"
+    if num_features is not None and high - shift >= num_features:
+        return "count"
     labels = [mapping.setdefault(name, len(mapping)) for name in names]
     return np.array(labels, dtype=np.int64), lengths, indices, values
 
@@ -369,66 +382,28 @@ def _split_rows(lines):
     return [parts[0] for parts in rows], lengths, text
 
 
-def _parse_lines(lines, first_line, shift, num_features, mapping, frozen):
-    """The arrays of one block of lines, read line by line, or the ParseError
-    of its first bad line; `lines[0]` is line `first_line` of the file."""
-    top = MAX_FEATURE_INDEX - shift
-    labels: list[int] = []
-    lengths: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
-    for line_no, line in enumerate(lines, start=first_line):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        token = parts[0]
-        if token not in mapping:
-            if frozen:
-                raise ParseError(
-                    f"unknown label {token!r} (not in the retained mapping)",
-                    line=line_no,
-                )
-            mapping[token] = len(mapping)
-        labels.append(mapping[token])
-        prev = -1
-        for item in parts[1:]:
-            try:
-                idx_str, val_str = item.split(":", 1)
-                idx = int(idx_str) - shift
-                val = float(val_str)
-            except ValueError:
-                raise ParseError(
-                    f"malformed feature entry {item!r}", line=line_no
-                ) from None
-            if not 0 <= idx <= top:
-                raise ParseError(
-                    f"feature index {idx + shift} outside "
-                    f"[{shift}, {MAX_FEATURE_INDEX}]",
-                    line=line_no,
-                )
-            if idx <= prev:
-                raise ParseError(
-                    "feature indices must be strictly increasing", line=line_no
-                )
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite feature value {val_str!r}", line=line_no)
-            if num_features is not None and idx >= num_features:
-                raise ParseError(
-                    f"feature index {idx + shift} exceeds the expected "
-                    f"feature count {num_features}",
-                    line=line_no,
-                )
-            prev = idx
-            indices.append(idx)
-            values.append(val)
-        lengths.append(len(parts) - 1)
-    return (
-        np.array(labels, dtype=np.int64),
-        np.array(lengths, dtype=np.int64),
-        np.array(indices, dtype=np.int64),
-        np.array(values, dtype=np.float64),
+def _block_fault(path, lines, first_line, rules) -> ParseError:
+    """The ParseError of the first bad line of a block `_convert_block`
+    refused; `lines[0]` is line `first_line` of the file. Every prefix of a
+    good line passes, so the shortest failing prefix of the first bad line,
+    found by bisection, ends at its first bad entry."""
+    def fails(*tokens):
+        return isinstance(_convert_block([" ".join(tokens)], *rules), str)
+
+    line_no, parts = next(
+        (n, line.split()) for n, line in enumerate(lines, first_line) if fails(line)
     )
+    bad = bisect_left(range(len(parts)), True, key=lambda k: fails(*parts[:k + 1]))
+    why = _convert_block([" ".join(parts[:bad + 1])], *rules)
+    entry = parts[bad] if bad else ""
+    index, _, value = entry.partition(":")
+    if why in ("range", "count"):  # the index as `int` reads it: `+3` is 3
+        index = int(index)
+    message = _REASONS[why].format(
+        label=parts[0], entry=entry, index=index, value=value, shift=rules[0],
+        top=MAX_FEATURE_INDEX, num_features=rules[1],
+    )
+    return ParseError(f"{path}: {message}", line=line_no)
 
 
 def save_sparse_text(data: SparseDataset, path, *, zero_based: bool = False) -> None:

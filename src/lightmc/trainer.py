@@ -319,9 +319,12 @@ def load_history(path) -> list[RoundRecord]:
 
 
 def save_model(model: TrainedModel, out_dir) -> None:
-    """Write the directory bundle (codebook, decoder, ensemble, history, labels)."""
+    """Write the directory bundle (codebook, decoder, ensemble, history, labels),
+    then `meta.txt`, which marks a whole bundle: it is removed first and
+    put in place last, so a save cut short leaves a bundle that does not load."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / _META_NAME).unlink(missing_ok=True)
     codebook.save_matrix(model.matrix, out / _FILES["codebook"])
     softmax_decoder.save_params(model.decoder, out / _FILES["decoder"])
     learners.save_ensemble(model.ensemble, out / _FILES["ensemble"])
@@ -331,14 +334,18 @@ def save_model(model: TrainedModel, out_dir) -> None:
     # byte-identical across reruns with the same seed
     meta = ("lightmc-model v1", model.mode, model.num_features, model.num_classes,
             model.matrix.code_length, model.best_round)
-    with open(out / _META_NAME, "w", encoding="ascii") as fh:
+    partial = out / (_META_NAME + ".partial")
+    with open(partial, "w", encoding="ascii") as fh:
         for key, val in zip(_META_KEYS, meta):
             fh.write(f"{key}={val}\n")
+    os.replace(partial, out / _META_NAME)
 
 
 def load_model(model_dir) -> TrainedModel:
     out = Path(model_dir)
     meta_path = out / _META_NAME
+    if out.is_dir() and not meta_path.exists():
+        raise ParseError(f"{out}: incomplete model bundle, no {_META_NAME}")
     keys = {key: key for key in _META_KEYS}
     meta = {key: value for _, key, value in read_settings(meta_path, keys)}
     if meta.get("format") != "lightmc-model v1":

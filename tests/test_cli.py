@@ -419,6 +419,18 @@ class TestBadInput:
         if name == "ensemble.txt":
             assert re.search(r"line \d+", err), err
 
+    def test_bad_validation_file_is_named(self, blob_file, tmp_path, capsys):
+        # the training file loads first and is good: the error must say which is bad
+        train_path, test_path = blob_file
+        first = test_path.read_text().splitlines()[0]
+        bad = tmp_path / "bad_valid.txt"
+        bad.write_text(f"{first}\n{first.split()[0]} 1:0.5 2:x\n")
+        code = run(["train", "--data", str(train_path), "--valid", str(bad),
+                    "--out", str(tmp_path / "m")] + FAST)
+        assert code == 1
+        message = f"line 2: {bad}: malformed feature entry '2:x'"
+        assert assert_one_error_line(capsys) == f"error: {message}\n"
+
     def test_linear_swap_alone_is_a_valid_bundle(
         self, overfit_bundle, blob_file, tmp_path, capsys
     ):

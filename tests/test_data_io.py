@@ -110,9 +110,85 @@ class TestLoadSparseText:
             assert vals[0] == float(k)
 
 
+LONG_LINE = "a " + " ".join(f"{j}:1.5" for j in range(1, 1001))
+FAULTS = {  # (file text, loader arguments, line, message after the path)
+    "unknown_label": (
+        "a 1:1\nb 2:1\n", {"label_names": ("a",)}, 2,
+        "unknown label 'b' (not in the retained mapping)",
+    ),
+    "malformed": ("a 1:1\na 1:1 2:x\n", {}, 2, "malformed feature entry '2:x'"),
+    "outside": ("a 1:1\na 0:1\n", {}, 2, "feature index 0 outside [1, 2147483647]"),
+    "outside_zero_based": (
+        "a 0:1\na -1:1\n", {"zero_based": True}, 2,
+        "feature index -1 outside [0, 2147483647]",
+    ),
+    "not_increasing": (
+        "a 1:1\na 3:1 2:1\n", {}, 2, "feature indices must be strictly increasing"
+    ),
+    "non_finite": ("a 1:1\na 1:1 2:1e400\n", {}, 2, "non-finite feature value '1e400'"),
+    "beyond_feature_count": (
+        "a 1:1\na 3:1\n", {"num_features": 2}, 2,
+        "feature index 3 exceeds the expected feature count 2",
+    ),
+    # the first bad entry of a line sets the reason, whatever follows it
+    "outside_before_malformed": (
+        "a 0:1 2:x\n", {}, 1, "feature index 0 outside [1, 2147483647]"
+    ),
+    "non_finite_before_not_increasing": (
+        "a 5:inf 3:1\n", {}, 1, "non-finite feature value 'inf'"
+    ),
+    "beyond_64_bits": (
+        f"a {2**63}:1\n", {}, 1, f"feature index {2**63} outside [1, 2147483647]"
+    ),
+    "beyond_64_bits_beside_a_bad_value": (
+        f"a {2**63}:e\n", {}, 1, f"malformed feature entry '{2**63}:e'"
+    ),
+    # an entry that fails several checks fails the first of them
+    "outside_and_non_finite": (
+        "a 0:inf\n", {}, 1, "feature index 0 outside [1, 2147483647]"
+    ),
+    "not_increasing_and_non_finite": (
+        "a 3:1 2:inf\n", {}, 1, "feature indices must be strictly increasing"
+    ),
+    "non_finite_and_beyond_feature_count": (
+        "a 5:nan\n", {"num_features": 2}, 1, "non-finite feature value 'nan'"
+    ),
+    "outside_and_beyond_feature_count": (
+        f"a {2**31}:1\n", {"num_features": 2}, 1,
+        f"feature index {2**31} outside [1, 2147483647]",
+    ),
+    "unknown_label_before_a_bad_entry": (
+        "a 1:1\nc 1:x\n", {"label_names": ("a",)}, 2,
+        "unknown label 'c' (not in the retained mapping)",
+    ),
+    "last_entry_of_a_long_line": (
+        f"a 1:1\n{LONG_LINE} 1001:nan\n", {}, 2, "non-finite feature value 'nan'"
+    ),
+    "first_line_of_a_block": (
+        "a 1:1\na 2:1\na 2:1 2:1\na 1:x\n", {}, 3,
+        "feature indices must be strictly increasing",
+    ),
+}
+
+
 class TestBlocks:
-    """The loader converts blocks of lines at once; a bad block is read again
-    line by line, so its errors name the same line as a per-line parser."""
+    """The loader converts blocks of lines at once, with the one function
+    that holds the format's checks. On a block that fails them it checks
+    each line alone, then prefixes of the first bad line, by bisection, so
+    that its error names the file, that line and why its first bad entry
+    fails."""
+
+    @pytest.mark.parametrize("block_lines", [2, data_io.BLOCK_LINES])
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_each_reason_names_file_and_line(self, tmp_path, monkeypatch, case,
+                                             block_lines):
+        text, kwargs, line, message = FAULTS[case]
+        monkeypatch.setattr(data_io, "BLOCK_LINES", block_lines)
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as caught:
+            data_io.load_sparse_text(path, **kwargs)
+        assert caught.value.line == line
+        assert str(caught.value) == f"line {line}: {path}: {message}"
 
     @pytest.mark.parametrize("line", ["1 5 1:2:3", "1 1 2:3:4"])
     def test_two_colons_balancing_a_bare_token_is_a_parse_error(self, tmp_path, line):

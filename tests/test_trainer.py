@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightmc import codebook, data_io, learners, softmax_decoder as sd, synthetic, trainer
-from lightmc.errors import ConfigInvalid, DimensionMismatch, InvalidArg, MissingClass
+from lightmc.errors import (
+    ConfigInvalid, DimensionMismatch, InvalidArg, MissingClass, ParseError,
+)
 from lightmc.learners import BOOSTED_TREES, LINEAR_SGD, LearnerSpec
 from lightmc.trainer import MODES, TrainConfig, update_rounds
 
@@ -526,6 +528,30 @@ class TestModelBundle:
         times = [rec.wall_time for rec in again.history]
         assert all(type(t) is float for t in times)
         assert times == sorted(set(times)) and times[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "module, saver",
+        [(codebook, "save_matrix"), (sd, "save_params"), (learners, "save_ensemble"),
+         (trainer, "save_history"), (trainer, "save_label_map")],
+        ids=["codebook", "decoder", "ensemble", "history", "labels"],
+    )
+    def test_save_cut_short_over_a_bundle_does_not_load(
+        self, tmp_path, small_blobs, monkeypatch, module, saver
+    ):
+        # the files of two models must not load as one
+        train, test, _ = small_blobs
+        older, newer = (trainer.fit(train, test, quick_config(max_rounds=3, seed=seed))
+                        for seed in (0, 1))
+        trainer.save_model(older, tmp_path)
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, saver, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            trainer.save_model(newer, tmp_path)
+        with pytest.raises(ParseError, match="incomplete model bundle, no meta.txt"):
+            trainer.load_model(tmp_path)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
